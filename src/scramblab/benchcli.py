@@ -559,18 +559,10 @@ def _switchback(params, seed, workers):
             "time_step": ("float", 0.25), "extra_points": ("int", 8)})
 def _scrambling_time(params, seed, workers):
     ham = qcore.build_hamiltonian(params["n"], params["g"], params["h"])
-    t_scr = qcore.scrambling_time(ham, params["threshold"], seed,
-                                  trials=params["trials"], time_step=params["time_step"])
-    w = qcore.PauliTerm.single(0, "X")
-    v = qcore.PauliTerm.single(params["n"] - 1, "Z")
-    states = [qcore.haar_state(ham.dimension, rng.stream(seed, i))
-              for i in range(params["trials"])]
-    grid = [k * params["time_step"]
-            for k in range(int(round(t_scr / params["time_step"])) + params["extra_points"] + 1)]
-    rows = []
-    for t in grid:
-        mean_abs = float(np.mean([abs(qcore.otoc(ham, t, w, v, s)) for s in states]))
-        rows.append((fmt17(t), fmt17(mean_abs)))
+    t_scr, values = qcore.scrambling_curve(ham, params["threshold"], seed,
+                                           trials=params["trials"], time_step=params["time_step"],
+                                           extra_points=params["extra_points"])
+    rows = [(fmt17(k * params["time_step"]), fmt17(value)) for k, value in enumerate(values)]
     summary = {"n": params["n"], "g": params["g"], "h": params["h"],
                "threshold": params["threshold"], "t_scr": t_scr,
                "grid_step": params["time_step"]}
@@ -675,7 +667,11 @@ def main(argv=None) -> int:
             print(f"{name:20s} {desc}")
         return 0
     if args.command == "pc":
-        seq = rewrite.sequence_from_text(Path(args.input).read_text())
+        try:
+            seq = rewrite.sequence_from_text(Path(args.input).read_text())
+        except InvalidParameterError as exc:
+            print(f"error: {args.input}: {exc}", file=sys.stderr)
+            return 2
         out_seq = rewrite.rewritten_sequence(seq, args.eps)
         _, trace = rewrite.pseudo_complexity(seq, args.eps)
         print(f"gates {len(seq)} -> {len(out_seq)} "

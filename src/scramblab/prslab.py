@@ -124,14 +124,20 @@ def schedule_to_text(s: ShockSchedule) -> str:
 
 
 def schedule_from_text(text: str) -> ShockSchedule:
+    """Inverse of ``schedule_to_text``; malformed text raises ``ScheduleError``."""
     keys = _parse_keyvals(text)
-    total = float(keys["T"])
+    if "T" not in keys:
+        raise ScheduleError("schedule text is missing the key 'T'")
     body = keys.get("schedule", "")
     entries = []
-    if body:
-        for item in body.split(","):
-            t, q, p = item.strip().split(":")
-            entries.append((float(t), int(q), p))
+    try:
+        total = float(keys["T"])
+        if body:
+            for item in body.split(","):
+                t, q, p = item.strip().split(":")
+                entries.append((float(t), int(q), p))
+    except ValueError as exc:
+        raise ScheduleError(f"malformed schedule text: {exc}") from exc
     return ShockSchedule(tuple(entries), total)
 
 
@@ -641,6 +647,7 @@ class EnsembleConfig:
 
 
 _CONFIG_FIELDS = ("scrambler", "n", "l", "seed", "m", "beta", "T", "g", "h", "t_scr", "initial")
+_REQUIRED_CONFIG_FIELDS = ("scrambler", "n", "l", "seed")
 
 
 def ensemble_config_to_text(cfg: EnsembleConfig) -> str:
@@ -662,16 +669,22 @@ def ensemble_config_from_text(text: str) -> EnsembleConfig:
     unknown = set(keys) - known
     if unknown:
         raise InvalidParameterError(f"unknown ensemble config keys: {sorted(unknown)}")
+    missing = [name for name in _REQUIRED_CONFIG_FIELDS if name not in keys]
+    if missing:
+        raise InvalidParameterError(f"ensemble config is missing keys: {missing}")
     kwargs = {}
     for name in ("scrambler", "initial"):
         if name in keys:
             kwargs[name] = keys[name]
-    for name in ("n", "l", "seed", "m"):
-        if name in keys:
-            kwargs[name] = int(keys[name])
-    for name in ("beta", "T", "g", "h", "t_scr"):
-        if name in keys:
-            kwargs[name] = float(keys[name])
+    for names, parse in ((("n", "l", "seed", "m"), int), (("beta", "T", "g", "h", "t_scr"), float)):
+        for name in names:
+            if name in keys:
+                try:
+                    kwargs[name] = parse(keys[name])
+                except ValueError as exc:
+                    raise InvalidParameterError(
+                        f"ensemble config key {name} = {keys[name]!r} is not {parse.__name__}"
+                    ) from exc
     return EnsembleConfig(**kwargs)
 
 

@@ -12,7 +12,14 @@ Conventions
   |10...0>.
 - Evolution is exact: ``evolve(h, t, s)`` returns exp(-i*H*t)|s>, using a
   per-Hamiltonian cached eigendecomposition (single-writer fill; safe for
-  concurrent reads afterwards).
+  concurrent reads afterwards). The basis change evecs^dag @ s is taken as
+  (s^dag @ evecs)^dag, so no conjugated d x d copy of the eigenvectors is
+  built per call; nothing beyond the eigensystem itself is cached.
+- OTOCs are trial-batched: the Haar states and their V-shocked copies form
+  the columns of one d x 2k block, moved into the eigenbasis once, and each
+  grid time costs three block products with the eigenvectors.
+  ``scrambling_curve`` walks the grid once and returns both the scrambling
+  time and the averaged |OTOC| curve.
 - All values are immutable after construction; operations are pure given
   their ``seed`` argument (an int or a numpy Generator, see ``rng.stream``).
 """
@@ -241,6 +248,7 @@ def apply_unitary(u: UnitaryMatrix, s: Statevector) -> Statevector:
 
 
 def _apply_site_pauli(amps: np.ndarray, label: str, site: int, n: int) -> np.ndarray:
+    """Single-site Pauli on the rows of a length-d vector or a (d, k) column block."""
     view = amps.reshape(1 << site, 2, -1)
     out = np.empty_like(view)
     if label == "X":
@@ -254,7 +262,7 @@ def _apply_site_pauli(amps: np.ndarray, label: str, site: int, n: int) -> np.nda
         out[:, 1, :] = -view[:, 1, :]
     else:
         out[:] = view
-    return out.reshape(-1)
+    return out.reshape(amps.shape)
 
 
 def apply_pauli(p: PauliTerm, s: Statevector) -> Statevector:
@@ -323,7 +331,12 @@ def evolve(h: LocalHamiltonian, t: float, s: Statevector) -> Statevector:
         raise DimensionMismatchError(f"hamiltonian dim {h.dimension} != state dim {s.dimension}")
     evals, evecs = h.eigensystem()
     phases = np.exp(-1j * evals * t)
-    return Statevector(evecs @ (phases * (evecs.conj().T @ s.amplitudes)))
+    return Statevector(evecs @ (phases * _to_eigenbasis(evecs, s.amplitudes)))
+
+
+def _to_eigenbasis(evecs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """evecs^dag @ amps for a vector or a (d, k) block, without a conjugated d x d copy."""
+    return (amps.T.conj() @ evecs).conj().T
 
 
 def evolution_unitary(h: LocalHamiltonian, t: float) -> UnitaryMatrix:
@@ -403,51 +416,87 @@ def sample_energy_measurement(h: LocalHamiltonian, s: Statevector, shots: int, s
 # Scrambling diagnostics
 # ---------------------------------------------------------------------------
 
-def _heisenberg_apply(h: LocalHamiltonian, t: float, w: PauliTerm, s: Statevector) -> Statevector:
-    """W(t)|s> with W(t) = exp(iHt) W exp(-iHt)."""
-    return evolve(h, -t, apply_pauli(w, evolve(h, t, s)))
+def _otoc_kernel(h: LocalHamiltonian, w: PauliTerm, v: PauliTerm, states):
+    """F(t) = <s| W(t)^dag V^dag W(t) V |s> of every state, as a function of t.
+
+    The states and their V-shocked copies are the 2k columns of one block,
+    moved into the eigenbasis once. Each call evolves the block forward,
+    applies W, evolves it back and applies V to the unshocked half:
+    F_j = <V W(t) s_j | W(t) V s_j>. No d x d array beyond the cached
+    eigenvectors is built.
+    """
+    if w.weight != 1 or v.weight != 1:
+        raise InvalidParameterError("otoc expects single-qubit Paulis")
+    n = h.n_qubits
+    if max(w.sites[0], v.sites[0]) >= n:
+        raise DimensionMismatchError(f"probes {w}, {v} do not fit on {n} qubits")
+    evals, evecs = h.eigensystem()
+    block = np.stack([s.amplitudes for s in states], axis=1)
+    k = block.shape[1]
+    shocked = _apply_site_pauli(block, v.labels, v.sites[0], n)
+    coeffs = _to_eigenbasis(evecs, np.hstack([block, shocked]))
+
+    def at(t: float) -> np.ndarray:
+        phases = np.exp(-1j * evals * t)[:, None]
+        y = _apply_site_pauli(evecs @ (phases * coeffs), w.labels, w.sites[0], n)
+        y = evecs @ (phases.conj() * _to_eigenbasis(evecs, y))
+        vw = _apply_site_pauli(y[:, :k], v.labels, v.sites[0], n)
+        return np.einsum("ij,ij->j", vw.conj(), y[:, k:])
+
+    return at
 
 
 def otoc(h: LocalHamiltonian, t: float, w: PauliTerm, v: PauliTerm, s: Statevector) -> complex:
     """<s| W(t)^dag V^dag W(t) V |s> for single-qubit Paulis W, V."""
-    if w.weight != 1 or v.weight != 1:
-        raise InvalidParameterError("otoc expects single-qubit Paulis")
-    u = _heisenberg_apply(h, t, w, apply_pauli(v, s))
-    vv = apply_pauli(v, _heisenberg_apply(h, t, w, s))
-    return inner_product(vv, u)
+    if h.dimension != s.dimension:
+        raise DimensionMismatchError(f"hamiltonian dim {h.dimension} != state dim {s.dimension}")
+    return complex(_otoc_kernel(h, w, v, [s])(t)[0])
 
 
-def scrambling_time(h: LocalHamiltonian, threshold: float, seed, *,
-                    w: PauliTerm = None, v: PauliTerm = None,
-                    trials: int = 8, time_step: float = 0.25) -> float:
-    """Smallest grid time where the trial-averaged |OTOC| at infinite
-    temperature drops below threshold * (initial value).
+def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
+                     w: PauliTerm = None, v: PauliTerm = None,
+                     trials: int = 8, time_step: float = 0.25,
+                     extra_points: int = 0) -> tuple:
+    """(t_scr, values): the scrambling time and the trial-averaged |OTOC| on its grid.
 
-    The infinite-temperature average is estimated over ``trials`` Haar states;
+    t_scr is the smallest grid time where the trial-averaged |OTOC| at
+    infinite temperature drops below threshold * (initial value). The
+    infinite-temperature average is estimated over ``trials`` Haar states;
     the grid runs in steps of ``time_step`` up to 50*n. Defaults probe
-    W = X on site 0 against V = Z on site n-1. Exhausting the grid raises
-    ``NoScramblingError`` carrying the final averaged |OTOC|.
+    W = X on site 0 against V = Z on site n-1. ``values[k]`` is the average
+    at t = k * time_step for k = 0 .. round(t_scr / time_step) + extra_points.
+    Exhausting the grid raises ``NoScramblingError`` carrying the final
+    averaged |OTOC|.
     """
     if not 0.0 < threshold < 1.0:
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
+    if extra_points < 0:
+        raise InvalidParameterError(f"extra_points must be >= 0, got {extra_points}")
     n = h.n_qubits
     if w is None:
         w = PauliTerm.single(0, "X")
     if v is None:
         v = PauliTerm.single(n - 1, "Z")
     states = [haar_state(h.dimension, rng.stream(seed, i)) for i in range(trials)]
+    kernel = _otoc_kernel(h, w, v, states)
 
     def averaged(t):
-        return float(np.mean([abs(otoc(h, t, w, v, s)) for s in states]))
+        return float(np.mean(np.abs(kernel(t))))
 
-    baseline = averaged(0.0)
+    values = [averaged(0.0)]
     t_max = 50.0 * n
     steps = int(round(t_max / time_step))
-    value = baseline
     for k in range(1, steps + 1):
-        t = k * time_step
-        value = averaged(t)
-        if value < threshold * baseline:
-            return t
+        values.append(averaged(k * time_step))
+        if values[-1] < threshold * values[0]:
+            values += [averaged(j * time_step) for j in range(k + 1, k + extra_points + 1)]
+            return k * time_step, values
     raise NoScramblingError(
-        f"|OTOC| never fell below {threshold} * {baseline:g} by t = {t_max:g}", value)
+        f"|OTOC| never fell below {threshold} * {values[0]:g} by t = {t_max:g}", values[-1])
+
+
+def scrambling_time(h: LocalHamiltonian, threshold: float, seed, *,
+                    w: PauliTerm = None, v: PauliTerm = None,
+                    trials: int = 8, time_step: float = 0.25) -> float:
+    """The scrambling time of ``scrambling_curve`` (same arguments and defaults)."""
+    return scrambling_curve(h, threshold, seed, w=w, v=v, trials=trials, time_step=time_step)[0]

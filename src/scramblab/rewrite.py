@@ -59,6 +59,8 @@ class Gate:
             raise InvalidParameterError(f"{kind} takes {GATE_ARITY[kind]} qubits, got {qubits}")
         if len(set(qubits)) != len(qubits):
             raise InvalidParameterError(f"qubits must be distinct, got {qubits}")
+        if min(qubits) < 0:
+            raise InvalidParameterError(f"qubits must be >= 0, got {qubits}")
         if (self.angle is not None) != (kind in PARAMETRIC):
             raise InvalidParameterError(f"{kind} {'requires' if kind in PARAMETRIC else 'rejects'} an angle")
         if kind == "CZ":
@@ -124,13 +126,17 @@ def sequence_to_text(seq: GateSequence) -> str:
 
 
 def sequence_from_text(text: str) -> GateSequence:
+    """Parse the text format; any malformed line raises ``InvalidParameterError``."""
     n_qubits = None
     gates = []
     max_site = -1
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith("# qubits"):
-            n_qubits = int(stripped.split()[2])
+            fields = stripped.split()
+            if len(fields) != 3 or not fields[2].isdigit():
+                raise InvalidParameterError(f"header must be '# qubits N', got {line!r}")
+            n_qubits = int(fields[2])
             continue
         stripped = stripped.split("#", 1)[0].strip()
         if not stripped:
@@ -140,8 +146,16 @@ def sequence_from_text(text: str) -> GateSequence:
         arity = GATE_ARITY.get(kind)
         if arity is None:
             raise InvalidParameterError(f"unknown gate kind {kind!r} in line {line!r}")
-        qubits = tuple(int(x) for x in parts[1:1 + arity])
-        angle = float(parts[1 + arity]) if kind in PARAMETRIC else None
+        n_fields = 1 + arity + (kind in PARAMETRIC)
+        if len(parts) != n_fields:
+            raise InvalidParameterError(
+                f"{kind} takes {n_fields - 1} fields (sites, then an angle for RZ/RX), "
+                f"got line {line!r}")
+        try:
+            qubits = tuple(int(x) for x in parts[1:1 + arity])
+            angle = float(parts[1 + arity]) if kind in PARAMETRIC else None
+        except ValueError as exc:
+            raise InvalidParameterError(f"non-numeric field in line {line!r}") from exc
         gates.append(Gate(kind, qubits, angle))
         max_site = max(max_site, max(qubits))
     if n_qubits is None:

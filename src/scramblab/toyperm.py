@@ -543,12 +543,25 @@ def oracle_to_bytes(o: PermutationOracle) -> bytes:
 
 
 def oracle_from_bytes(data: bytes) -> PermutationOracle:
+    """Inverse of ``oracle_to_bytes``; raises ``InvalidParameterError`` unless the
+    bytes hold a bijection on n-bit strings with 1 <= n <= MAX_BITS."""
+    if len(data) < 4:
+        raise InvalidParameterError(f"oracle data has {len(data)} bytes, shorter than its header")
     (n,) = struct.unpack_from("<I", data, 0)
+    if not 1 <= n <= MAX_BITS:
+        raise InvalidParameterError(f"oracle header gives n = {n}, outside 1..{MAX_BITS}")
     width = (n + 7) // 8
+    if len(data) - 4 != (1 << n) * width:
+        raise InvalidParameterError(
+            f"oracle body has {len(data) - 4} bytes, expected 2^{n} entries of {width} bytes")
     body = np.frombuffer(data, dtype=np.uint8, offset=4).reshape(-1, width)
     padded = np.zeros((body.shape[0], 4), dtype=np.uint8)
     padded[:, :width] = body
     fwd = padded.view("<u4").reshape(-1).astype(np.int64)
+    if int(fwd.max()) >= 1 << n:
+        raise InvalidParameterError(f"oracle entry {int(fwd.max())} is not an {n}-bit string")
+    if np.unique(fwd).size != fwd.size:
+        raise InvalidParameterError("oracle table is not a bijection: an output repeats")
     return PermutationOracle(n, fwd)
 
 

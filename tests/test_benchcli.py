@@ -138,6 +138,12 @@ class TestCli:
         back = rw.sequence_from_text(dst.read_text())
         assert len(back) == 1 and back.gates[0].kind == "RZ"
 
+    def test_pc_malformed_input_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "circuit.txt"
+        src.write_text("# qubits 2\nRZ 0\n")
+        assert bc.main(["pc", "--input", str(src)]) == 2
+        assert "RZ" in capsys.readouterr().err
+
 
 class TestCsvColumns:
     def test_game_csv_columns(self, tmp_path):

@@ -109,6 +109,17 @@ class TestSchedules:
         assert back == sched
         assert pl.schedule_to_text(back) == text
 
+    @pytest.mark.parametrize("text, match", [
+        ("schedule = 1.0:0:X\n", "'T'"),       # missing T
+        ("T = soon\n", None),                  # non-numeric T
+        ("T = 4\nschedule = 1.0:0\n", None),  # entry without a label
+        ("T = 4\nschedule = 1.0:0:X,\n", None),  # empty entry
+        ("T = 4\nschedule = a:0:X\n", None),  # non-numeric time
+    ])
+    def test_malformed_text_rejected(self, text, match):
+        with pytest.raises(ScheduleError, match=match):
+            pl.schedule_from_text(text)
+
 
 class TestShockedEvolution:
     def test_empty_schedule_is_pure_evolution(self):
@@ -392,6 +403,18 @@ class TestEnsembleConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidParameterError):
             pl.ensemble_config_from_text("scrambler = haar\nn = 4\nl = 1\nseed = 0\nbogus = 3\n")
+
+    @pytest.mark.parametrize("missing", ["scrambler", "n", "l", "seed"])
+    def test_missing_key_rejected(self, missing):
+        keys = {"scrambler": "haar", "n": "4", "l": "1", "seed": "0"}
+        del keys[missing]
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(InvalidParameterError, match=missing):
+            pl.ensemble_config_from_text(text)
+
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(InvalidParameterError, match="beta"):
+            pl.ensemble_config_from_text("scrambler = haar\nn = 4\nl = 1\nseed = 0\nbeta = hot\n")
 
     def test_build_haar_spec(self):
         cfg = pl.EnsembleConfig(scrambler="haar", n=5, l=2, seed=3)

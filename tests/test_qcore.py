@@ -154,6 +154,21 @@ class TestEvolution:
         out = qcore.evolve(h, t, s)
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1) < 1e-10
 
+    def test_matches_dense_eigenbasis_formula(self):
+        # a Y coupling makes the eigenvectors genuinely complex, so a missing
+        # conjugation in the basis change would show
+        h = qcore.LocalHamiltonian(4, (qcore.PauliTerm((0, 1), "XY", 0.7),
+                                       qcore.PauliTerm((2, 3), "ZZ", 1.0),
+                                       qcore.PauliTerm.single(1, "Y", 0.4),
+                                       qcore.PauliTerm.single(3, "X", 1.1)))
+        evals, evecs = h.eigensystem()
+        assert np.max(np.abs(evecs.imag)) > 0.1
+        s = qcore.haar_state(16, seed=4)
+        for t in (-2.0, 0.3, 7.5):
+            phases = np.exp(-1j * evals * t)
+            ref = evecs @ (phases * (evecs.conj().T @ s.amplitudes))
+            assert np.max(np.abs(qcore.evolve(h, t, s).amplitudes - ref)) < 1e-12
+
 
 class TestThermofieldDouble:
     def test_infinite_temperature_is_maximally_entangled(self):
@@ -233,6 +248,35 @@ class TestScrambling:
         with pytest.raises(NoScramblingError) as err:
             qcore.scrambling_time(h, 0.1, seed=33, trials=2)
         assert abs(err.value.final_otoc - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_batched_kernel_matches_per_state_formula(self, n):
+        h = qcore.build_hamiltonian(n, 1.05, 0.5)
+        states = [qcore.haar_state(1 << n, rng.stream(34, i)) for i in range(3)]
+
+        def heisenberg(t, w, s):  # W(t)|s> = exp(iHt) W exp(-iHt)|s>
+            return qcore.evolve(h, -t, qcore.apply_pauli(w, qcore.evolve(h, t, s)))
+
+        for label_w, label_v in (("X", "Z"), ("Y", "X"), ("Z", "Y")):
+            w = qcore.PauliTerm.single(0, label_w)
+            v = qcore.PauliTerm.single(n - 1, label_v)
+            kernel = qcore._otoc_kernel(h, w, v, states)
+            for t in (0.0, 0.6, 2.25, 9.0):
+                ref = [qcore.inner_product(qcore.apply_pauli(v, heisenberg(t, w, s)),
+                                           heisenberg(t, w, qcore.apply_pauli(v, s)))
+                       for s in states]
+                assert np.max(np.abs(kernel(t) - ref)) < 1e-12
+                assert abs(qcore.otoc(h, t, w, v, states[1]) - ref[1]) < 1e-12
+
+    def test_scrambling_curve_grid(self, chaotic_chain_6):
+        t_scr, values = qcore.scrambling_curve(chaotic_chain_6, 0.1, seed=42, extra_points=3)
+        assert t_scr == qcore.scrambling_time(chaotic_chain_6, 0.1, seed=42)
+        crossing = int(round(t_scr / 0.25))
+        assert len(values) == crossing + 3 + 1
+        assert values[crossing] < 0.1 * values[0]
+        assert all(value >= 0.1 * values[0] for value in values[:crossing])
+        with pytest.raises(InvalidParameterError):
+            qcore.scrambling_curve(chaotic_chain_6, 0.1, seed=42, extra_points=-1)
 
     def test_chaotic_chain_scrambles(self, chaotic_chain_6):
         t_scr = qcore.scrambling_time(chaotic_chain_6, 0.1, seed=42)

@@ -58,6 +58,22 @@ class TestGateIR:
         with pytest.raises(InvalidParameterError):
             rw.GateSequence((rw.Gate("H", (5,)),), 3)
 
+    @pytest.mark.parametrize("text", [
+        "RZ 0\n",                # missing angle
+        "H\n",                   # missing site
+        "CNOT 0\n",              # missing second site
+        "RX 0 0.5 1\n",          # extra field
+        "X a\n",                 # non-numeric site
+        "RZ 0 half\n",           # non-numeric angle
+        "X -1\n",                # negative site
+        "# qubits\nX 0\n",      # header without a count
+        "# qubits two\nX 0\n",  # non-numeric count
+        "# qubits 3 4\nX 0\n",  # trailing header field
+    ])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(InvalidParameterError):
+            rw.sequence_from_text(text)
+
 
 class TestUnitaries:
     def test_reversed_inverse_is_exact_inverse(self):

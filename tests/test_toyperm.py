@@ -403,6 +403,19 @@ class TestSerialization:
         assert blob[:4] == (9).to_bytes(4, "little")
         assert len(blob) == 4 + (1 << 9) * 2  # ceil(9/8) = 2 bytes per entry
 
+    @pytest.mark.parametrize("blob", [
+        b"\x02\x00\x00\x00" + bytes([0, 0, 1, 2]),   # not a bijection
+        b"\x02\x00\x00\x00" + bytes([0, 1, 2]),      # 3 entries for 2^2
+        b"\x02\x00\x00\x00" + bytes([0, 1, 2, 3, 0]),  # trailing byte
+        b"\x02\x00\x00\x00" + bytes([0, 1, 2, 4]),   # entry >= 2^n
+        b"\x00\x00\x00\x00",                         # n = 0
+        b"\xff\xff\xff\xff",                         # n far beyond MAX_BITS
+        b"\x02\x00",                                   # truncated header
+    ])
+    def test_malformed_bytes_rejected(self, blob):
+        with pytest.raises(InvalidParameterError):
+            tp.oracle_from_bytes(blob)
+
     def test_file_roundtrip(self, tmp_path):
         o = tp.random_permutation(7, seed=37)
         path = tmp_path / "oracle.bin"
