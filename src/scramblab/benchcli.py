@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, prslab, qcore, rewrite, rng, stats, toyperm, weingarten
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ScramblabError
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -169,19 +169,15 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
            {"n": ("int", 3), "l": ("int", 2)})
 def _toy_hybrids(params, seed, workers):
     n, ell = params["n"], params["l"]
-    table_c = toyperm.enumerate_joint_distribution("C", n, ell)
-    table_d = toyperm.enumerate_joint_distribution("D", n, ell)
-    table_a = toyperm.enumerate_marginal_distribution("A", n, ell)
-    table_b = toyperm.enumerate_marginal_distribution("B", n, ell)
-    table_e = toyperm.enumerate_marginal_distribution("E", n, ell)
+    table = {label: toyperm.hybrid_table(label, n, ell) for label in toyperm.HYBRID_LABELS}
     s_size = len(toyperm.distinct_tree_set(n, ell))
     n_perms = math.factorial(1 << n)
     pr_not_s = Fraction(n_perms - s_size, n_perms)
     tree_nodes = (1 << (ell + 1)) - 1
     bound = pr_not_s + Fraction(tree_nodes, 1 << n)
-    tv_cd = toyperm.tv_distance(table_c, table_d)
-    tv_ab = toyperm.tv_distance(table_a, table_b)
-    tv_de = toyperm.tv_distance(table_d, table_e)
+    tv_cd = table["C"].tv(table["D"])
+    tv_ab = table["A"].tv(table["B"])
+    tv_de = table["D"].tv(table["E"])
     summary = {
         "n": n, "l": ell, "s_size": s_size, "n_permutations": n_perms,
         "pr_sigma_not_in_s": pr_not_s,
@@ -626,9 +622,18 @@ def run(experiment: str, raw_params: dict, seed: int, out_dir, workers: int = 1)
 # CLI
 # ---------------------------------------------------------------------------
 
+def _read_input(path) -> str:
+    """Text of an input file; an unreadable file is a package error naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise InvalidParameterError(f"cannot read {path}: {reason}") from exc
+
+
 def _read_config_file(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_input(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -637,6 +642,40 @@ def _read_config_file(path) -> dict:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _pc(args) -> int:
+    text = _read_input(args.input)
+    try:
+        seq = rewrite.sequence_from_text(text)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{args.input}: {exc}") from exc
+    gates, trace = rewrite._rewrite_to_fixpoint(seq, args.eps)
+    out_seq = rewrite.GateSequence(tuple(gates), seq.n_qubits)
+    print(f"gates {len(seq)} -> {len(out_seq)} "
+          f"(firings {len(trace)}, total error {fmt17(trace.total_error)})")
+    if args.output:
+        Path(args.output).write_text(rewrite.sequence_to_text(out_seq))
+    return 0
+
+
+def _run(args) -> int:
+    raw = {}
+    if args.config:
+        raw.update(_read_config_file(args.config))
+    for item in args.set:
+        if "=" not in item:
+            raise InvalidParameterError(f"--set expects KEY=VALUE, got {item!r}")
+        key, value = item.split("=", 1)
+        raw[key.strip()] = value.strip()
+    manifest, summary, ok = run(args.experiment, raw, args.seed, args.out, args.workers)
+    n_checks = len(manifest.checks)
+    n_pass = sum(1 for _, flag in manifest.checks if flag)
+    print(f"{args.experiment}: {n_pass}/{n_checks} checks passed "
+          f"({manifest.duration_seconds:.1f}s) -> {args.out}")
+    if args.check and not ok:
+        return 3
+    return 0
 
 
 def main(argv=None) -> int:
@@ -666,42 +705,14 @@ def main(argv=None) -> int:
         for name, desc in list_experiments():
             print(f"{name:20s} {desc}")
         return 0
-    if args.command == "pc":
-        try:
-            seq = rewrite.sequence_from_text(Path(args.input).read_text())
-        except InvalidParameterError as exc:
-            print(f"error: {args.input}: {exc}", file=sys.stderr)
-            return 2
-        out_seq = rewrite.rewritten_sequence(seq, args.eps)
-        _, trace = rewrite.pseudo_complexity(seq, args.eps)
-        print(f"gates {len(seq)} -> {len(out_seq)} "
-              f"(firings {len(trace)}, total error {fmt17(trace.total_error)})")
-        if args.output:
-            Path(args.output).write_text(rewrite.sequence_to_text(out_seq))
-        return 0
-    if args.command != "run":
+    if args.command not in ("pc", "run"):
         parser.print_help()
         return 2
-    raw = {}
     try:
-        if args.config:
-            raw.update(_read_config_file(args.config))
-        for item in args.set:
-            if "=" not in item:
-                raise InvalidParameterError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            raw[key.strip()] = value.strip()
-        manifest, summary, ok = run(args.experiment, raw, args.seed, args.out, args.workers)
-    except (InvalidParameterError, KeyError) as exc:
+        return _pc(args) if args.command == "pc" else _run(args)
+    except (ScramblabError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    n_checks = len(manifest.checks)
-    n_pass = sum(1 for _, flag in manifest.checks if flag)
-    print(f"{args.experiment}: {n_pass}/{n_checks} checks passed "
-          f"({manifest.duration_seconds:.1f}s) -> {args.out}")
-    if args.check and not ok:
-        return 3
-    return 0
 
 
 if __name__ == "__main__":

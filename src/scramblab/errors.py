@@ -1,19 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error derives from ``ScramblabError`` and from the builtin
+exception it refines (``ValueError`` or ``RuntimeError``), so callers may
+catch either.
+"""
 
 
-class InvalidDimensionError(ValueError):
+class ScramblabError(Exception):
+    """Base class of every error this package raises on purpose."""
+
+
+class InvalidDimensionError(ScramblabError, ValueError):
     """A dimension argument is zero, negative, or otherwise unusable."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(ScramblabError, ValueError):
     """Two objects that must share a dimension do not."""
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(ScramblabError, ValueError):
     """A scalar parameter violates an operation's precondition."""
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(ScramblabError, RuntimeError):
     """The request exceeds the size this desk-scale implementation supports."""
 
 
@@ -25,7 +34,7 @@ class ShockKeyError(InvalidParameterError):
     """A shock key does not match the ensemble it is used with."""
 
 
-class NoScramblingError(RuntimeError):
+class NoScramblingError(ScramblabError, RuntimeError):
     """The correlator never decayed below threshold on the search grid."""
 
     def __init__(self, message: str, final_otoc: float):
@@ -33,7 +42,7 @@ class NoScramblingError(RuntimeError):
         self.final_otoc = final_otoc
 
 
-class SparseSetError(RuntimeError):
+class SparseSetError(ScramblabError, RuntimeError):
     """Rejection sampling hit its retry cap; carries the observed acceptance rate."""
 
     def __init__(self, message: str, acceptance_rate: float):
@@ -41,15 +50,15 @@ class SparseSetError(RuntimeError):
         self.acceptance_rate = acceptance_rate
 
 
-class BudgetViolationError(RuntimeError):
+class BudgetViolationError(ScramblabError, RuntimeError):
     """A distinguisher strategy requested more state copies than it was granted."""
 
 
-class DegenerateFitError(RuntimeError):
+class DegenerateFitError(ScramblabError, RuntimeError):
     """A log-log fit was requested on data containing zeros."""
 
 
-class SearchInconclusiveError(RuntimeError):
+class SearchInconclusiveError(ScramblabError, RuntimeError):
     """State-space search exhausted its frontier without reaching the target."""
 
     def __init__(self, message: str, best_distance: float):

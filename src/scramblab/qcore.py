@@ -289,12 +289,6 @@ def zero_state(n: int) -> Statevector:
     return Statevector(amps)
 
 
-def basis_state(n: int, index: int) -> Statevector:
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[index] = 1.0
-    return Statevector(amps)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonians and evolution
 # ---------------------------------------------------------------------------

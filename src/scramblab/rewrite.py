@@ -434,37 +434,33 @@ def _one_pass(gates, eps, rules, steps):
     return stack, fired
 
 
+def _rewrite_to_fixpoint(seq: GateSequence, eps: float, rules=None):
+    """Greedy stack passes until one fires nothing: (surviving gate list, RewriteTrace)."""
+    if eps < 0:
+        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
+    if rules is None:
+        rules = rule_set_default()
+    gates = list(seq.gates)
+    steps = []
+    fired = True
+    while fired:
+        gates, fired = _one_pass(gates, eps, rules, steps)
+    return gates, RewriteTrace(tuple(steps))
+
+
 def pseudo_complexity(seq: GateSequence, eps: float, rules=None):
     """Greedy stack-based rewriting to a fixpoint.
 
     Returns (final length, RewriteTrace). Monotone (never grows the circuit)
     and idempotent: running it on its own output changes nothing.
     """
-    if eps < 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
-    if rules is None:
-        rules = rule_set_default()
-    gates = list(seq.gates)
-    steps = []
-    while True:
-        gates, fired = _one_pass(gates, eps, rules, steps)
-        if not fired:
-            break
-    return len(gates), RewriteTrace(tuple(steps))
+    gates, trace = _rewrite_to_fixpoint(seq, eps, rules)
+    return len(gates), trace
 
 
 def rewritten_sequence(seq: GateSequence, eps: float, rules=None) -> GateSequence:
     """The surviving gates themselves (same pass as ``pseudo_complexity``)."""
-    if eps < 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
-    if rules is None:
-        rules = rule_set_default()
-    gates = list(seq.gates)
-    steps = []
-    while True:
-        gates, fired = _one_pass(gates, eps, rules, steps)
-        if not fired:
-            break
+    gates, _ = _rewrite_to_fixpoint(seq, eps, rules)
     return GateSequence(tuple(gates), seq.n_qubits)
 
 

@@ -7,17 +7,25 @@ D_sigma, equivalently: a uniformly random leaf of the depth-ell binary tree
 whose left/right children are sigma(x) / pi(x).
 
 This module provides query-counted oracles, the tree and its leaf rows, the
-five hybrid input distributions (A)-(E), exact joint-distribution enumeration
-at (n=3, ell=2), total-variation distance in exact rationals, and the
+five hybrid input distributions (A)-(E), exact hybrid tables at (n=3, ell=2),
+total-variation distance in exact rationals, and the
 distinguishing strategies (full forward enumeration, bidirectional
 meet-in-the-middle, zero-query baseline) together with a coin-flip game
 harness that records per-trial query counts.
+
+The exact hybrid tables enumerate all 8! permutations as one int64 array in
+``itertools.permutations`` order and build every depth-2 tree from it with
+numpy. Each hybrid is an int64 array of sampling-path counts indexed by
+(rank of sigma, y) over one denominator, the number of paths; the spliced
+permutations of hybrid C are ranked by their Lehmer code. TV between two
+tables is one integer sum, returned as an exact ``Fraction``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import struct
 import warnings
@@ -163,12 +171,15 @@ class SigmaTree:
 
 
 def _levels_from_table(fwd: np.ndarray, n: int, depth: int) -> tuple:
+    """Tree levels from a forward table; a stack of tables (leading axes) gives a
+    stack of trees, each level of shape (..., 2^j)."""
     mask = 1 << (n - 1)
-    levels = [np.zeros(1, dtype=np.int64)]
+    levels = [np.zeros(fwd.shape[:-1] + (1,), dtype=np.int64)]
     for _ in range(depth):
         cur = levels[-1]
-        nxt = np.column_stack((fwd[cur], fwd[cur ^ mask])).reshape(-1)
-        levels.append(nxt)
+        children = (np.take_along_axis(fwd, cur, axis=-1),
+                    np.take_along_axis(fwd, cur ^ mask, axis=-1))
+        levels.append(np.stack(children, axis=-1).reshape(cur.shape[:-1] + (-1,)))
     return tuple(levels)
 
 
@@ -303,26 +314,105 @@ def sample_hybrid(label: str, n: int, ell: int, seed, retry_cap: int = 10**4) ->
 # Exact enumeration at n = 3, ell = 2
 # ---------------------------------------------------------------------------
 
-def _tiny_tree(sigma: tuple, mask: int):
-    """(nodes, leaves) of the depth-2 tree for a permutation given as a tuple."""
-    a, b = sigma[0], sigma[mask]
-    leaves = (sigma[a], sigma[a ^ mask], sigma[b], sigma[b ^ mask])
-    return (0, a, b) + leaves, leaves
+def _check_exhaustive(n: int, ell: int):
+    if (n, ell) != (3, 2):
+        raise ResourceLimitError("exhaustive enumeration is fixed at (n, ell) = (3, 2)")
+
+
+def _all_permutations(size: int) -> np.ndarray:
+    """Every permutation of range(size), one per row, in ``itertools.permutations`` order."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(size)))
+    count = math.factorial(size) * size
+    return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, size)
+
+
+def _permutation_rank(perms: np.ndarray) -> np.ndarray:
+    """Index of each row (a permutation of range(size)) in ``itertools.permutations``
+    order, from its Lehmer code; leading axes are batch axes."""
+    size = perms.shape[-1]
+    later_smaller = np.triu(perms[..., :, None] > perms[..., None, :], k=1).sum(axis=-1)
+    place = np.array([math.factorial(size - 1 - i) for i in range(size)], dtype=np.int64)
+    return later_smaller @ place
+
+
+def _all_trees(n: int, ell: int):
+    """(perms, nodes, leaves, in_s) for every sigma in S_{2^n}, one row each in
+    ``itertools.permutations`` order; ``in_s`` marks the trees whose nodes are distinct."""
+    perms = _all_permutations(1 << n)
+    levels = _levels_from_table(perms, n, ell)
+    nodes = np.concatenate(levels, axis=1)
+    ordered = np.sort(nodes, axis=1)
+    in_s = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    return perms, nodes, levels[-1], in_s
 
 
 def distinct_tree_set(n: int = 3, ell: int = 2) -> list:
-    """All sigma in S_{2^n} whose depth-ell tree has distinct nodes (n=3, ell=2)."""
-    if (n, ell) != (3, 2):
-        raise ResourceLimitError("exhaustive enumeration is fixed at (n, ell) = (3, 2)")
-    import itertools
+    """All sigma in S_{2^n} whose depth-ell tree has distinct nodes (n=3, ell=2),
+    as (sigma, nodes, leaves) tuples."""
+    _check_exhaustive(n, ell)
+    perms, nodes, leaves, in_s = _all_trees(n, ell)
+    rows = zip(perms[in_s].tolist(), nodes[in_s].tolist(), leaves[in_s].tolist())
+    return [(tuple(sigma), tuple(t), tuple(lv)) for sigma, t, lv in rows]
 
-    mask = 1 << (n - 1)
-    members = []
-    for sigma in itertools.permutations(range(1 << n)):
-        nodes, leaves = _tiny_tree(sigma, mask)
-        if len(set(nodes)) == len(nodes):
-            members.append((sigma, nodes, leaves))
-    return members
+
+@dataclass(frozen=True, eq=False)
+class HybridTable:
+    """Exact joint law of a hybrid over (sigma, y):
+    Pr[sigma, y] = weights[rank of sigma, y] / denominator, with sigma ranked in
+    ``itertools.permutations`` order. ``weights`` is a read-only int64 array."""
+
+    weights: np.ndarray
+    denominator: int
+
+    def tv(self, other: "HybridTable") -> Fraction:
+        """Exact total-variation distance as one integer sum over both tables."""
+        diff = self.weights * other.denominator - other.weights * self.denominator
+        return Fraction(int(np.abs(diff).sum()), 2 * self.denominator * other.denominator)
+
+    def to_dict(self) -> dict:
+        """The law as {(sigma_tuple, y): Fraction} over its support."""
+        perms = list(itertools.permutations(range(self.weights.shape[1])))
+        ranks, ys = np.nonzero(self.weights)
+        counts = self.weights[ranks, ys]
+        return {(perms[r], y): Fraction(c, self.denominator)
+                for r, y, c in zip(ranks.tolist(), ys.tolist(), counts.tolist())}
+
+
+def hybrid_table(label: str, n: int = 3, ell: int = 2) -> HybridTable:
+    """Exact law of hybrid (A)-(E) over (sigma, y) by enumerating all of S_{2^n}.
+
+    Each table counts the equally likely sampling paths of ``sample_hybrid``,
+    so its denominator is the number of paths: (A) every (sigma, y); (E) every
+    sigma and leaf slot, so colliding leaves weigh more; (D) the leaf slots of
+    sigma in S; (B) the off-tree y of sigma in S; (C) for sigma' in S, every
+    off-tree y and leaf slot x, giving SWAP(x, y) o sigma' with y.
+    """
+    if label not in HYBRID_LABELS:
+        raise InvalidParameterError(f"label must be one of {HYBRID_LABELS}, got {label!r}")
+    _check_exhaustive(n, ell)
+    perms, nodes, leaves, in_s = _all_trees(n, ell)
+    n_perms, size = perms.shape
+    rows = np.arange(n_perms) if label in ("A", "E") else np.flatnonzero(in_s)
+    if label == "A":
+        ranks, ys = rows[:, None], np.arange(size)
+    elif label in ("D", "E"):
+        ranks, ys = rows[:, None], leaves[rows]
+    else:
+        on_tree = np.zeros((rows.size, size), dtype=bool)
+        np.put_along_axis(on_tree, nodes[rows], True, axis=1)
+        off = np.nonzero(~on_tree)[1].reshape(rows.size, -1)  # N - m per member
+        if label == "B":
+            ranks, ys = rows[:, None], off
+        else:
+            sigma = perms[rows][:, None, None, :]
+            x = leaves[rows][:, None, :, None]
+            y = off[:, :, None, None]
+            spliced = np.where(sigma == x, y, np.where(sigma == y, x, sigma))
+            ranks, ys = _permutation_rank(spliced), y[..., 0]
+    paths = np.ravel(ranks * size + ys)
+    weights = np.bincount(paths, minlength=n_perms * size).reshape(n_perms, size)
+    weights.setflags(write=False)
+    return HybridTable(weights, paths.size)
 
 
 def enumerate_joint_distribution(label: str, n: int = 3, ell: int = 2) -> dict:
@@ -334,71 +424,14 @@ def enumerate_joint_distribution(label: str, n: int = 3, ell: int = 2) -> dict:
     """
     if label not in ("C", "D"):
         raise InvalidParameterError(f"enumeration supports labels C and D, got {label!r}")
-    if (n, ell) != (3, 2):
-        raise ResourceLimitError("exhaustive enumeration is fixed at (n, ell) = (3, 2)")
-    members = distinct_tree_set(n, ell)
-    s_size = len(members)
-    table: dict = {}
-    if label == "D":
-        p = Fraction(1, s_size * (1 << ell))
-        for sigma, _nodes, leaves in members:
-            for y in leaves:
-                key = (sigma, y)
-                table[key] = table.get(key, Fraction(0)) + p
-        return table
-    size = 1 << n
-    for sigma_p, nodes, leaves in members:
-        node_set = set(nodes)
-        complement = [y for y in range(size) if y not in node_set]
-        inv = [0] * size
-        for idx, v in enumerate(sigma_p):
-            inv[v] = idx
-        p = Fraction(1, s_size * len(complement) * (1 << ell))
-        for y in complement:
-            for x in leaves:
-                spliced = list(sigma_p)
-                spliced[inv[x]] = y
-                spliced[inv[y]] = x
-                key = (tuple(spliced), y)
-                table[key] = table.get(key, Fraction(0)) + p
-    return table
+    return hybrid_table(label, n, ell).to_dict()
 
 
 def enumerate_marginal_distribution(label: str, n: int = 3, ell: int = 2) -> dict:
     """Exact joint law over (sigma, y) for hybrids A, B, or E at (3, 2)."""
     if label not in ("A", "B", "E"):
         raise InvalidParameterError(f"marginal enumeration supports A, B, E, got {label!r}")
-    if (n, ell) != (3, 2):
-        raise ResourceLimitError("exhaustive enumeration is fixed at (n, ell) = (3, 2)")
-    import itertools
-
-    size = 1 << n
-    mask = 1 << (n - 1)
-    n_perms = math.factorial(size)
-    table: dict = {}
-    if label == "A":
-        p = Fraction(1, n_perms * size)
-        for sigma in itertools.permutations(range(size)):
-            for y in range(size):
-                table[(sigma, y)] = p
-        return table
-    if label == "B":
-        members = distinct_tree_set(n, ell)
-        for sigma, nodes, _leaves in members:
-            node_set = set(nodes)
-            complement = [y for y in range(size) if y not in node_set]
-            p = Fraction(1, len(members) * len(complement))
-            for y in complement:
-                table[(sigma, y)] = p
-        return table
-    # E: sigma uniform over all permutations, y a leaf slot (multiplicity-weighted)
-    for sigma in itertools.permutations(range(size)):
-        _nodes, leaves = _tiny_tree(sigma, mask)
-        p = Fraction(1, n_perms * (1 << ell))
-        for y in leaves:
-            key = (sigma, y)
-            table[key] = table.get(key, Fraction(0)) + p
-    return table
+    return hybrid_table(label, n, ell).to_dict()
 
 
 def tv_distance(p: dict, q: dict):

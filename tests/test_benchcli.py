@@ -145,6 +145,47 @@ class TestCli:
         assert "RZ" in capsys.readouterr().err
 
 
+class TestCliErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--experiment", "toy-hybrids", "--set", "n=4"], "(n, ell) = (3, 2)"),
+        (["run", "--experiment", "prs-energy", "--set", "n=4"], "OTOC"),
+        (["run", "--experiment", "toy-hybrids", "--config", "nope.cfg"], "nope.cfg"),
+        (["pc", "--input", "nope.txt"], "nope.txt"),
+    ])
+    def test_package_errors_and_missing_files_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                     argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert bc.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_pc_negative_eps_exits_2(self, tmp_path):
+        src = tmp_path / "circuit.txt"
+        src.write_text(rw.sequence_to_text(rw.GateSequence((rw.Gate("H", (0,)),), 1)))
+        assert bc.main(["pc", "--input", str(src), "--eps", "-1"]) == 2
+
+    def test_every_package_error_is_a_scramblab_error(self):
+        from scramblab import errors
+
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, Exception)]
+        for cls in classes:
+            assert issubclass(cls, errors.ScramblabError)
+        assert issubclass(errors.InvalidParameterError, ValueError)
+        assert issubclass(errors.ResourceLimitError, RuntimeError)
+
+
+class TestToyHybridsGolden:
+    def test_tv_csv_bytes(self, tmp_path):
+        manifest, summary, ok = bc.run("toy-hybrids", {}, 0, tmp_path)
+        assert ok
+        assert (tmp_path / "tv.csv").read_bytes() == (
+            b"pair,tv,bound\nCD,0/1,0/1\nAB,55/56,97/56\nDE,6/7,97/56\n")
+        assert isinstance(manifest.checks, tuple)
+        assert all(isinstance(name, str) and isinstance(flag, bool)
+                   for name, flag in manifest.checks)
+
+
 class TestCsvColumns:
     def test_game_csv_columns(self, tmp_path):
         bc.run("toy-distinguish", {"trials": "3", "ells": "4", "strategies": "zero_query"},

@@ -285,6 +285,49 @@ class TestExactEnumeration:
         assert tv_de == Fraction(6, 7)
 
 
+class TestHybridTable:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {label: tp.hybrid_table(label) for label in tp.HYBRID_LABELS}
+
+    def test_weights_sum_to_denominator(self, tables):
+        for table in tables.values():
+            assert table.weights.dtype == np.int64
+            assert table.weights.shape == (math.factorial(8), 8)
+            assert int(table.weights.sum()) == table.denominator
+
+    def test_ranks_follow_itertools_order(self):
+        import itertools
+
+        perms = tp._all_permutations(8)
+        assert perms.tolist() == [list(p) for p in itertools.permutations(range(8))]
+        assert np.array_equal(tp._permutation_rank(perms), np.arange(math.factorial(8)))
+
+    def test_closed_forms(self, tables):
+        size, nodes = 8, 7
+        p_s = Fraction(len(tp.distinct_tree_set()), math.factorial(size))
+        tv_de = tables["D"].tv(tables["E"])
+        tv_ab = tables["A"].tv(tables["B"])
+        assert isinstance(tv_de, Fraction) and isinstance(tv_ab, Fraction)
+        assert tv_de == 1 - p_s
+        assert tv_ab == 1 - p_s * Fraction(size - nodes, size)
+        assert tables["C"].tv(tables["D"]) == 0
+
+    def test_tv_is_symmetric_and_zero_on_self(self, tables):
+        assert tables["E"].tv(tables["E"]) == 0
+        assert tables["A"].tv(tables["E"]) == tables["E"].tv(tables["A"])
+
+    def test_weights_are_read_only(self, tables):
+        with pytest.raises(ValueError):
+            tables["A"].weights[0, 0] = 2
+
+    def test_unsupported_size_and_label(self):
+        with pytest.raises(ResourceLimitError):
+            tp.hybrid_table("C", 4, 2)
+        with pytest.raises(InvalidParameterError):
+            tp.hybrid_table("F")
+
+
 class TestTvDistance:
     def test_self_distance(self):
         p = {1: Fraction(1, 2), 2: Fraction(1, 2)}
