@@ -214,7 +214,7 @@ def _toy_distinguish(params, seed, workers):
         for e_idx, ell in enumerate(ells):
             game = toyperm.run_distinguishing_game(strategy, n, ell, trials,
                                                    rng.stream(seed, s_idx, e_idx))
-            lo, hi = game.wilson_interval()
+            lo, hi = stats.wilson_interval(game.successes, game.trials)
             per_ell[str(ell)] = {"success_rate": game.success_rate,
                                  "wilson_low": lo, "wilson_high": hi,
                                  "mean_queries": game.mean_queries}
@@ -601,19 +601,22 @@ def run(experiment: str, raw_params: dict, seed: int, out_dir, workers: int = 1)
     exp = _REGISTRY[experiment]
     params = _parse_params(exp, raw_params)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot create output directory {out}: {exc.strerror}") from exc
     start = time.monotonic()
     summary, files, checks = exp.fn(params, seed, workers)
     duration = time.monotonic() - start
     summary_obj = {"experiment": experiment, "seed": seed, "params": params,
                    "checks": {name: ok for name, ok in checks}, **summary}
-    (out / "summary.json").write_text(dump_json(summary_obj))
+    _write_output(out / "summary.json", dump_json(summary_obj))
     for name, content in files.items():
-        (out / name).write_text(content)
+        _write_output(out / name, content)
     manifest = RunManifest(experiment, params, seed, __version__, duration,
                            "numpy Philox(SeedSequence(entropy=seed, spawn_key=path))",
                            tuple(checks))
-    (out / "manifest.json").write_text(manifest.to_json())
+    _write_output(out / "manifest.json", manifest.to_json())
     ok = all(flag for _, flag in checks)
     return manifest, summary_obj, ok
 
@@ -629,6 +632,14 @@ def _read_input(path) -> str:
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise InvalidParameterError(f"cannot read {path}: {reason}") from exc
+
+
+def _write_output(path, text: str) -> None:
+    """Write an output file; an unwritable path is a package error naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_config_file(path) -> dict:
@@ -655,7 +666,7 @@ def _pc(args) -> int:
     print(f"gates {len(seq)} -> {len(out_seq)} "
           f"(firings {len(trace)}, total error {fmt17(trace.total_error)})")
     if args.output:
-        Path(args.output).write_text(rewrite.sequence_to_text(out_seq))
+        _write_output(args.output, rewrite.sequence_to_text(out_seq))
     return 0
 
 

@@ -214,15 +214,24 @@ class PRSEnsembleSpec:
 
 
 def prs_state(spec: PRSEnsembleSpec, key: str) -> qcore.Statevector:
-    """k_ell U ... k_1 U |phi>: U then the key's Pauli on site 0, ell times."""
+    """k_ell U ... k_1 U |phi>: U then the key's Pauli on site 0, ell times.
+
+    The steps run on raw amplitudes; one Statevector (with its norm check) is
+    built at the end.
+    """
     key = validate_shock_key(key, spec.num_shocks)
-    u = spec.scrambler_unitary()
-    state = spec.initial_state
+    if key.strip("I"):
+        # the checks of qcore.apply_pauli: d = 2^n, and a site 0 to shock
+        n = spec.initial_state.n_qubits
+        if n < 1:
+            raise DimensionMismatchError(f"a shock on site 0 does not fit on {n} qubits")
+    u = spec.scrambler_unitary().matrix
+    amps = spec.initial_state.amplitudes
     for label in key:
-        state = qcore.apply_unitary(u, state)
+        amps = u @ amps
         if label != "I":
-            state = qcore.apply_pauli(qcore.PauliTerm.single(0, label), state)
-    return state
+            amps = qcore._apply_site_pauli(amps, label, 0, n)
+    return qcore.Statevector(amps)
 
 
 def shocked_evolution_state(h: qcore.LocalHamiltonian, sched: ShockSchedule,
@@ -326,6 +335,11 @@ def moment_power_overlap_mc(d: int, K: int, trials: int, seed) -> MomentEstimate
     X_1 maps basis index v to v + d/2 (mod d): the first-bit flip when d is a
     power of two, a fixed-point-free shift otherwise. Exact counterpart:
     ``weingarten.power_overlap_exact``.
+
+    The unitaries come from ``qcore.haar_batches``, Stewart's matrix-free
+    exact-Haar sampler: U^K |0> costs O(K d^2) per trial and no d x d matrix
+    is formed. Trial t draws from ``rng.stream(seed, t)``, so an int seed
+    gives per-trial substreams and a Generator is drawn from sequentially.
     """
     if d < 2:
         raise InvalidParameterError(f"dimension must be >= 2, got {d}")
@@ -335,13 +349,13 @@ def moment_power_overlap_mc(d: int, K: int, trials: int, seed) -> MomentEstimate
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     # (X psi)[v] = psi[bar^-1(v)] with bar(v) = v + d//2 mod d
     bar_inv = (np.arange(d) - d // 2) % d
-    samples = np.empty(trials)
-    for t in range(trials):
-        u = qcore.haar_unitary(d, rng.stream(seed, t)).matrix
-        psi = u[:, 0]
+    chunks = []
+    for batch in qcore.haar_batches(d, trials, seed):
+        psi = batch.first_columns()
         for _ in range(K - 1):
-            psi = u @ psi
-        samples[t] = abs(np.vdot(psi, psi[bar_inv])) ** 2
+            psi = qcore.apply_haar_batch(batch, psi)
+        chunks.append(np.abs(np.einsum("ij,ij->i", psi.conj(), psi[:, bar_inv])) ** 2)
+    samples = np.concatenate(chunks)
     se = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MomentEstimate(float(samples.mean()), se, trials)
 

@@ -20,6 +20,11 @@ Conventions
   grid time costs three block products with the eigenvectors.
   ``scrambling_curve`` walks the grid once and returns both the scrambling
   time and the averaged |OTOC| curve.
+- Haar unitaries come two ways. ``haar_unitary`` forms a dense U (Ginibre +
+  QR + phase fix), for a U that is reused or whose entries are read.
+  ``haar_batches`` yields trial batches in Stewart's factored form, applied
+  to vectors in O(d^2) without forming U. Unitaries the package builds skip
+  ``UnitaryMatrix``'s O(d^3) unitarity check; user-supplied matrices keep it.
 - All values are immutable after construction; operations are pure given
   their ``seed`` argument (an int or a numpy Generator, see ``rng.stream``).
 """
@@ -79,7 +84,13 @@ class Statevector:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Dense d x d unitary; unitarity is verified for d <= 512 (O(d^3) check)."""
+    """Dense d x d unitary, read-only after construction.
+
+    A matrix given to the constructor is copied and, for d <= 512, checked for
+    unitarity (an O(d^3) product). Unitaries the package builds itself
+    (``haar_unitary``, ``evolution_unitary``) are unitary by construction and
+    skip the check through the private ``_trusted`` path.
+    """
 
     matrix: np.ndarray
 
@@ -93,6 +104,14 @@ class UnitaryMatrix:
                 raise InvalidParameterError(f"matrix is not unitary: max |UU^dag - I| = {dev:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "UnitaryMatrix":
+        """Wrap a fresh complex128 unitary this package computed, without copy or check."""
+        u = object.__new__(cls)
+        m.setflags(write=False)
+        object.__setattr__(u, "matrix", m)
+        return u
 
     @property
     def dimension(self) -> int:
@@ -225,7 +244,107 @@ def haar_unitary(d: int, seed) -> UnitaryMatrix:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     q = q * (diag / np.abs(diag))
-    return UnitaryMatrix(q)
+    return UnitaryMatrix._trusted(q)
+
+
+HAAR_BATCH_ENTRIES = 1 << 16  # packed reflector entries per HaarBatch (about 1 MB)
+
+
+@dataclass(frozen=True)
+class HaarBatch:
+    """B exactly Haar d x d unitaries in Stewart's factored form, never formed densely.
+
+    U = H_0 (1 (+) H_1) ... (I_{d-1} (+) H_{d-1}) diag(phases), where
+    H_k = I - scales[k] u_k u_k^dag acts on C^(d-k) and u_k is stored packed:
+    its d - k entries start at column k*d - k*(k-1)/2 of ``vectors``.
+    """
+
+    vectors: np.ndarray   # (B, d(d+1)/2) complex
+    scales: np.ndarray    # (B, d) real
+    phases: np.ndarray    # (B, d) unit complex
+
+    @property
+    def size(self) -> int:
+        return self.phases.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.phases.shape[1]
+
+    def first_columns(self) -> np.ndarray:
+        """(B, d): U e_0 of every unitary; only the first reflector touches e_0."""
+        d = self.dimension
+        u0 = self.vectors[:, :d]
+        coef = self.phases[:, 0] * self.scales[:, 0] * u0[:, 0].conj()
+        col = -coef[:, None] * u0
+        col[:, 0] += self.phases[:, 0]
+        return col
+
+
+def _reflector_offsets(d: int) -> np.ndarray:
+    k = np.arange(d)
+    return k * d - k * (k - 1) // 2
+
+
+def haar_batch(d: int, streams) -> HaarBatch:
+    """One exactly Haar d x d unitary per generator in ``streams``, in Stewart's form.
+
+    Stewart's sequential-Householder construction (G. W. Stewart, SIAM J.
+    Numer. Anal. 17, 1980; F. Mezzadri, arXiv:math-ph/0609050): step k takes a
+    fresh complex Gaussian x_k in C^(d-k) and the reflector H_k that maps x_k
+    to -e^{i theta_k} |x_k| e_0, where theta_k is the phase of x_k's first
+    entry; the diagonal phase is -e^{i theta_k}. This is the law of Ginibre +
+    QR + phase fix (``haar_unitary``): after k reflections the trailing
+    Ginibre columns are fresh Gaussians independent of the earlier steps. It
+    draws d(d+1)/2 complex Gaussians per unitary, half of Ginibre's d^2, and
+    each generator's draws are taken in one call, in batch order.
+    """
+    if d < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+    offsets = _reflector_offsets(d)
+    vectors = np.empty((len(streams), d * (d + 1) // 2), dtype=np.complex128)
+    flat = vectors.view(np.float64)
+    for row, g in zip(flat, streams):
+        g.standard_normal(out=row)
+    norms = np.sqrt(np.add.reduceat(flat * flat, 2 * offsets, axis=1))
+    heads = vectors[:, offsets]
+    head_abs = np.abs(heads)
+    phases = heads / head_abs
+    vectors[:, offsets] = heads + phases * norms
+    return HaarBatch(vectors, 1.0 / (norms * (norms + head_abs)), -phases)
+
+
+def haar_batches(d: int, trials: int, seed):
+    """Yield HaarBatch objects covering trials 0 .. trials-1 in order.
+
+    Trial t draws from ``rng.stream(seed, t)``: an int seed gives each trial
+    its own substream, a Generator is drawn from sequentially. Each batch
+    holds about HAAR_BATCH_ENTRIES packed reflector entries, and the samples do
+    not depend on where the batches split.
+    """
+    if d < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+    size = max(1, HAAR_BATCH_ENTRIES // (d * (d + 1) // 2))
+    for start in range(0, trials, size):
+        stop = min(trials, start + size)
+        yield haar_batch(d, [rng.stream(seed, t) for t in range(start, stop)])
+
+
+def apply_haar_batch(batch: HaarBatch, block: np.ndarray) -> np.ndarray:
+    """(B, d) block whose row b is U_b @ block[b], in O(d^2) per row."""
+    d = batch.dimension
+    if block.shape != (batch.size, d):
+        raise DimensionMismatchError(
+            f"block shape {block.shape} != ({batch.size}, {d}) for this batch")
+    v = batch.phases * block
+    lengths = np.arange(d, 0, -1)
+    scaled_conj = batch.vectors.conj() * np.repeat(batch.scales, lengths, axis=1)
+    for k, lo in zip(range(d - 1, -1, -1), _reflector_offsets(d)[::-1].tolist()):
+        seg = slice(lo, lo + d - k)
+        w = v[:, k:]
+        c = scaled_conj[:, None, seg] @ w[:, :, None]
+        w -= batch.vectors[:, seg] * c[:, 0]
+    return v
 
 
 def haar_state(d: int, seed) -> Statevector:
@@ -336,7 +455,7 @@ def _to_eigenbasis(evecs: np.ndarray, amps: np.ndarray) -> np.ndarray:
 def evolution_unitary(h: LocalHamiltonian, t: float) -> UnitaryMatrix:
     """Dense exp(-i*H*t)."""
     evals, evecs = h.eigensystem()
-    return UnitaryMatrix(evecs @ (np.exp(-1j * evals * t)[:, None] * evecs.conj().T))
+    return UnitaryMatrix._trusted(evecs @ (np.exp(-1j * evals * t)[:, None] * evecs.conj().T))
 
 
 def tfd_state(h_half: LocalHamiltonian, beta: float) -> Statevector:

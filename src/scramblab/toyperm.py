@@ -516,14 +516,6 @@ class GameResult:
     def success_rate(self) -> float:
         return self.successes / self.trials
 
-    def wilson_interval(self, z: float = 1.96) -> tuple:
-        n = self.trials
-        p = self.success_rate
-        denom = 1 + z**2 / n
-        center = (p + z**2 / (2 * n)) / denom
-        half = z * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-        return (center - half, center + half)
-
     @property
     def mean_queries(self) -> float:
         return float(np.mean(np.array(self.fwd_queries) + np.array(self.inv_queries)))

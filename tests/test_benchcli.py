@@ -164,6 +164,21 @@ class TestCliErrors:
         src.write_text(rw.sequence_to_text(rw.GateSequence((rw.Gate("H", (0,)),), 1)))
         assert bc.main(["pc", "--input", str(src), "--eps", "-1"]) == 2
 
+    def test_run_out_onto_an_existing_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert bc.main(["run", "--experiment", "toy-hybrids", "--out", "afile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "afile" in err
+
+    def test_pc_output_in_a_missing_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text(
+            rw.sequence_to_text(rw.GateSequence((rw.Gate("H", (0,)),), 1)))
+        assert bc.main(["pc", "--input", "c.txt", "--output", "nodir/x.txt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nodir/x.txt" in err
+
     def test_every_package_error_is_a_scramblab_error(self):
         from scramblab import errors
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestEnsembleSpec:
             ov = pl.prs_state(spec, key).overlap_sq(pl.prs_state(spec, other))
             hits += ov <= 50 / 2**8
         assert hits >= 95
+
+    def test_matches_apply_chain_bitwise_for_every_key(self):
+        spec = haar_spec(n=6, ell=2)
+        u = spec.scrambler_unitary()
+        for key in ("".join(k) for k in itertools.product("IXYZ", repeat=2)):
+            state = spec.initial_state
+            for label in key:
+                state = qcore.apply_unitary(u, state)
+                if label != "I":
+                    state = qcore.apply_pauli(qcore.PauliTerm.single(0, label), state)
+            assert np.array_equal(pl.prs_state(spec, key).amplitudes, state.amplitudes)
 
 
 class TestSchedules:

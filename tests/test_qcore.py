@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scramblab import qcore, rng
+from scramblab import qcore, rng, weingarten as wg
 from scramblab.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -62,6 +62,106 @@ class TestHaarSampling:
         a = qcore.haar_unitary(8, seed=123).matrix
         b = qcore.haar_unitary(8, seed=123).matrix
         assert np.array_equal(a, b)
+
+
+def dense_from_batch(batch):
+    """(B, d, d) stack of the batch's unitaries, from their action on identity columns."""
+    d = batch.dimension
+    cols = [qcore.apply_haar_batch(batch, np.tile(np.eye(d)[j], (batch.size, 1)))
+            for j in range(d)]
+    return np.stack(cols, axis=2)
+
+
+def stewart_columns(d, trials, seed, budget, monkeypatch, power=2):
+    """U^power e_0 for every trial, with batches of at most ``budget`` reflector entries."""
+    monkeypatch.setattr(qcore, "HAAR_BATCH_ENTRIES", budget)
+    out = []
+    for batch in qcore.haar_batches(d, trials, seed):
+        psi = batch.first_columns()
+        for _ in range(power - 1):
+            psi = qcore.apply_haar_batch(batch, psi)
+        out.append(psi)
+    return np.concatenate(out)
+
+
+class TestStewartSampler:
+    def test_d4_moments_match_exact(self):
+        trials = 40000
+        u = dense_from_batch(qcore.haar_batch(4, [rng.stream(21, t) for t in range(trials)]))
+        cases = [
+            (np.abs(u[:, 1, 0]) ** 2, wg.MomentSpec((1,), (0,), (1,), (0,))),
+            (np.abs(u[:, 1, 0]) ** 4, wg.MomentSpec((1, 1), (0, 0), (1, 1), (0, 0))),
+            (np.abs(u[:, 0, 0] * u[:, 1, 1]) ** 2, wg.MomentSpec((0, 1), (0, 1), (0, 1), (0, 1))),
+        ]
+        for vals, spec in cases:
+            exact = float(wg.haar_moment_exact(spec, 4))
+            se = vals.std(ddof=1) / math.sqrt(trials)
+            assert abs(vals.mean() - exact) <= 5 * se
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_dense_form_is_unitary(self, d):
+        batch = qcore.haar_batch(d, [rng.stream(22, t) for t in range(5)])
+        u = dense_from_batch(batch)
+        eye = np.eye(d)
+        for m in u:
+            assert np.max(np.abs(m @ m.conj().T - eye)) < 1e-12
+        assert np.max(np.abs(batch.first_columns() - u[:, :, 0])) < 1e-14
+
+    def test_dimension_one_is_a_phase(self):
+        batch = qcore.haar_batch(1, [rng.stream(23, t) for t in range(4)])
+        col = batch.first_columns()
+        assert col.shape == (4, 1)
+        assert np.max(np.abs(np.abs(col) - 1)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 5, 33])
+    def test_samples_independent_of_batch_budget(self, d, monkeypatch):
+        m = d * (d + 1) // 2
+        for make_seed in (lambda: 7, lambda: rng.stream(7)):
+            ref = stewart_columns(d, 40, make_seed(), 1, monkeypatch)
+            for budget in (3 * m, 5 * m + 1, 1 << 16):
+                assert np.array_equal(
+                    stewart_columns(d, 40, make_seed(), budget, monkeypatch), ref)
+
+    def test_determinism(self, monkeypatch):
+        a = stewart_columns(8, 30, 123, 1 << 16, monkeypatch)
+        b = stewart_columns(8, 30, 123, 1 << 16, monkeypatch)
+        assert np.array_equal(a, b)
+
+    def test_int_seed_gives_per_trial_substreams(self, monkeypatch):
+        cols = stewart_columns(4, 6, 9, 1 << 16, monkeypatch, power=1)
+        for t in range(6):
+            alone = qcore.haar_batch(4, [rng.stream(9, t)]).first_columns()[0]
+            assert np.array_equal(cols[t], alone)
+
+    def test_generator_seed_draws_sequentially(self, monkeypatch):
+        cols = stewart_columns(4, 6, rng.stream(9), 1 << 16, monkeypatch, power=1)
+        g = rng.stream(9)
+        one_by_one = [qcore.haar_batch(4, [g]).first_columns()[0] for _ in range(6)]
+        assert np.array_equal(cols, np.array(one_by_one))
+        assert not np.array_equal(cols, stewart_columns(4, 6, 9, 1 << 16, monkeypatch, power=1))
+
+    def test_block_shape_checked(self):
+        batch = qcore.haar_batch(4, [rng.stream(1, t) for t in range(3)])
+        with pytest.raises(DimensionMismatchError):
+            qcore.apply_haar_batch(batch, np.zeros((2, 4), dtype=complex))
+        with pytest.raises(InvalidDimensionError):
+            qcore.haar_batch(0, [])
+
+
+class TestTrustedUnitaries:
+    def test_supplied_matrix_still_checked(self):
+        with pytest.raises(InvalidParameterError):
+            qcore.UnitaryMatrix(np.ones((4, 4)))
+
+    def test_haar_unitary_bits_match_ginibre_qr_formula(self):
+        g = rng.stream(123)
+        z = (g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))) / math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        expected = q * (diag / np.abs(diag))
+        u = qcore.haar_unitary(8, seed=123).matrix
+        assert np.array_equal(u, expected)
+        assert not u.flags.writeable
 
 
 class TestPrimitives:
