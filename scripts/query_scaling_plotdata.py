@@ -14,14 +14,14 @@ import sys
 from scramblab import stats, toyperm
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=16)
     parser.add_argument("--ells", default="4,5,6,7,8,9,10,11,12")
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="query_scaling.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     ells = [int(x) for x in args.ells.split(",")]
 
     rows = []

@@ -76,11 +76,13 @@ class ShockSchedule:
         times = [t for t, _, _ in entries]
         if any(t < 0 for t in times):
             raise ScheduleError("shock times must be >= 0")
+        if any(q < 0 for _, q, _ in entries):
+            raise ScheduleError("shock sites must be >= 0")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ScheduleError("shock times must be strictly increasing")
         if times and times[-1] > total:
             raise ScheduleError(f"shock at t = {times[-1]} exceeds total time {total}")
-        if any(p not in SCHEDULE_LABELS for _, _, p in entries):
+        if any(len(p) != 1 or p not in SCHEDULE_LABELS for _, _, p in entries):
             raise ScheduleError(f"shock labels must be over {SCHEDULE_LABELS!r}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "total_time", total)

@@ -134,9 +134,12 @@ def sequence_from_text(text: str) -> GateSequence:
         stripped = line.strip()
         if stripped.startswith("# qubits"):
             fields = stripped.split()
-            if len(fields) != 3 or not fields[2].isdigit():
-                raise InvalidParameterError(f"header must be '# qubits N', got {line!r}")
-            n_qubits = int(fields[2])
+            try:
+                if len(fields) != 3 or not fields[2].isdecimal():
+                    raise ValueError
+                n_qubits = int(fields[2])
+            except ValueError as exc:
+                raise InvalidParameterError(f"header must be '# qubits N', got {line!r}") from exc
             continue
         stripped = stripped.split("#", 1)[0].strip()
         if not stripped:

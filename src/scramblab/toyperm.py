@@ -13,6 +13,14 @@ distinguishing strategies (full forward enumeration, bidirectional
 meet-in-the-middle, zero-query baseline) together with a coin-flip game
 harness that records per-trial query counts.
 
+An oracle from ``random_permutation`` is sampled lazily, as the query model
+allows: each new point is uniform over the values not yet used, so a game
+that makes a few dozen queries never writes out its 2^n-entry table. The
+table is completed uniformly on its first read (serialization, splices,
+unmetered trees, exact laws); read before any query, it is exactly the
+stream's ``permutation(2**n)``. Explicit tables (``PermutationOracle(n,
+table)``, loaded oracles, splices, the exhaustive enumeration) are unchanged.
+
 The exact hybrid tables enumerate all 8! permutations as one int64 array in
 ``itertools.permutations`` order and build every depth-2 tree from it with
 numpy. Each hybrid is an int64 array of sampling-path counts indexed by
@@ -41,24 +49,119 @@ MAX_BITS = 26
 TREE_DEPTH_LIMIT = 20
 
 
-class PermutationOracle:
-    """Explicit bijection table on n-bit strings with metered queries.
+# Lazily sampled points draw their candidates from blocks of this many uniform values.
+_DRAW_BLOCK = 64
 
-    ``forward``/``inverse`` increment the matching counter by exactly one per
-    call. The raw tables are exposed read-only for harness construction,
-    serialization, and exact enumeration; those paths are not metered.
+
+class _Sigma:
+    """One permutation of range(size), shared by an oracle and its fresh copies.
+
+    It is either an explicit table or sampled lazily from its own generator:
+    ``_points`` maps each input assigned so far to its output and
+    ``_preimages`` the reverse. A new forward (inverse) point is uniform over
+    the outputs (inputs) not yet used: uniform draws over range(size), taken
+    in blocks, rejecting the values already taken. The first read of the table
+    completes it, giving the unassigned inputs a uniform permutation of the
+    unassigned outputs; untouched, that is exactly ``g.permutation(size)``.
+    Either way the law is that of a uniform permutation.
     """
 
+    __slots__ = ("size", "fwd", "inv", "_g", "_points", "_preimages", "_candidates")
+
+    def __init__(self, size: int, table, g):
+        self.size = size
+        self.fwd = table
+        self.inv = None
+        self._g = g
+        self._points = {}
+        self._preimages = {}
+        self._candidates = iter(())
+
+    def _draw(self, taken: dict) -> int:
+        while True:
+            for v in self._candidates:
+                if v not in taken:
+                    return v
+            self._candidates = iter(self._g.integers(self.size, size=_DRAW_BLOCK).tolist())
+
+    def _outside(self, x: int) -> InvalidParameterError:
+        return InvalidParameterError(f"query {x} is outside 0..{self.size - 1}")
+
+    def forward(self, x) -> int:
+        x = int(x)
+        if not 0 <= x < self.size:
+            raise self._outside(x)
+        if self.fwd is not None:
+            return int(self.fwd[x])
+        y = self._points.get(x)
+        if y is None:
+            y = self._draw(self._preimages)
+            self._points[x] = y
+            self._preimages[y] = x
+        return y
+
+    def inverse(self, y) -> int:
+        y = int(y)
+        if not 0 <= y < self.size:
+            raise self._outside(y)
+        if self.fwd is not None:
+            return int(self.inverse_table()[y])
+        x = self._preimages.get(y)
+        if x is None:
+            x = self._draw(self._points)
+            self._points[x] = y
+            self._preimages[y] = x
+        return x
+
+    def forward_table(self) -> np.ndarray:
+        if self.fwd is None:
+            points = self._points
+            if points:
+                xs = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
+                ys = np.fromiter(points.values(), dtype=np.int64, count=len(points))
+                table = np.full(self.size, -1, dtype=np.int64)
+                table[xs] = ys
+                unused = np.ones(self.size, dtype=bool)
+                unused[ys] = False
+                table[table < 0] = self._g.permutation(np.flatnonzero(unused))
+            else:
+                table = self._g.permutation(self.size)
+            table.setflags(write=False)
+            self.fwd = table
+            self._g = self._points = self._preimages = self._candidates = None
+        return self.fwd
+
+    def inverse_table(self) -> np.ndarray:
+        if self.inv is None:
+            fwd = self.forward_table()
+            inv = np.empty_like(fwd)
+            inv[fwd] = np.arange(fwd.size, dtype=np.int64)
+            inv.setflags(write=False)
+            self.inv = inv
+        return self.inv
+
+
+class PermutationOracle:
+    """Bijection sigma on n-bit strings with metered queries.
+
+    ``forward``/``inverse`` increment the matching counter by exactly one per
+    call; ``lookup`` reads sigma unmetered. sigma is an explicit table or, from
+    ``random_permutation``, sampled lazily point by point as it is queried. The
+    tables are exposed read-only for harness construction, serialization, and
+    exact enumeration; those paths are not metered, and a lazily sampled sigma
+    is completed on their first read, keeping every point already queried.
+    """
+
+    __slots__ = ("n", "_sigma", "forward_queries", "inverse_queries")
+
     def __init__(self, n: int, forward_table: np.ndarray):
-        self.n = int(n)
+        n = int(n)
         fwd = np.asarray(forward_table, dtype=np.int64)
-        if fwd.shape != (1 << self.n,):
-            raise InvalidParameterError(f"table must have 2^{self.n} entries")
+        if fwd.shape != (1 << n,):
+            raise InvalidParameterError(f"table must have 2^{n} entries")
         fwd.setflags(write=False)
-        self._fwd = fwd
-        self._inv = None  # filled on first use
-        self.forward_queries = 0
-        self.inverse_queries = 0
+        self.n, self._sigma = n, _Sigma(fwd.size, fwd, None)
+        self.forward_queries = self.inverse_queries = 0
 
     @property
     def size(self) -> int:
@@ -71,28 +174,27 @@ class PermutationOracle:
 
     @property
     def forward_table(self) -> np.ndarray:
-        return self._fwd
+        return self._sigma.forward_table()
 
     @property
     def inverse_table(self) -> np.ndarray:
-        if self._inv is None:
-            inv = np.empty_like(self._fwd)
-            inv[self._fwd] = np.arange(self._fwd.size, dtype=np.int64)
-            inv.setflags(write=False)
-            self._inv = inv
-        return self._inv
+        return self._sigma.inverse_table()
 
     @property
     def query_counts(self) -> tuple:
         return (self.forward_queries, self.inverse_queries)
 
+    def lookup(self, x: int) -> int:
+        """sigma(x) without metering, for harnesses."""
+        return self._sigma.forward(x)
+
     def forward(self, x: int) -> int:
         self.forward_queries += 1
-        return int(self._fwd[x])
+        return self._sigma.forward(x)
 
     def inverse(self, x: int) -> int:
         self.inverse_queries += 1
-        return int(self.inverse_table[x])
+        return self._sigma.inverse(x)
 
     def query(self, direction: str, x: int) -> int:
         if direction == "forward":
@@ -102,28 +204,42 @@ class PermutationOracle:
         raise InvalidParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
     def fresh_copy(self) -> "PermutationOracle":
-        """Same tables, zeroed counters."""
-        return PermutationOracle(self.n, self._fwd.copy())
+        """A view of the same sigma with zeroed counters."""
+        return _oracle_over(self.n, self._sigma)
+
+
+def _oracle_over(n: int, sigma: _Sigma) -> PermutationOracle:
+    """A fresh-counter oracle on an existing sigma."""
+    o = PermutationOracle.__new__(PermutationOracle)
+    o.n, o._sigma = n, sigma
+    o.forward_queries = o.inverse_queries = 0
+    return o
 
 
 def random_permutation(n: int, seed) -> PermutationOracle:
-    """Uniformly random bijection on n-bit strings (in-place shuffle)."""
+    """Uniformly random bijection on n-bit strings, sampled lazily from
+    ``rng.stream(seed)`` as it is queried; a table read before any query is
+    that stream's ``permutation(2**n)``."""
     if not 1 <= n <= MAX_BITS:
         raise ResourceLimitError(f"bit-width must satisfy 1 <= n <= {MAX_BITS}, got {n}")
-    g = rng.stream(seed)
-    return PermutationOracle(n, g.permutation(1 << n))
+    return _oracle_over(n, _Sigma(1 << n, None, rng.stream(seed)))
+
+
+def _walk(step, mask: int, ell: int, g) -> int:
+    """Endpoint of a uniform random word in {sigma, pi}^ell applied to 0^n: each
+    step draws one bit from ``g`` and applies ``step`` (a lookup of sigma) to x
+    or x ^ mask."""
+    x = 0
+    for _ in range(ell):
+        x = step(x ^ (mask if g.integers(2) else 0))
+    return x
 
 
 def sample_D_sigma(o: PermutationOracle, ell: int, seed) -> int:
     """Apply a uniform random word in {sigma, pi}^ell to 0^n (ell forward queries)."""
     if ell < 0:
         raise InvalidParameterError(f"depth must be >= 0, got {ell}")
-    g = rng.stream(seed)
-    x = 0
-    mask = o.flip_mask
-    for _ in range(ell):
-        x = o.forward(x ^ (mask if g.integers(2) else 0))
-    return x
+    return _walk(o.forward, o.flip_mask, ell, rng.stream(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +286,25 @@ class SigmaTree:
         return bool(np.any(self.all_nodes == y))
 
 
-def _levels_from_table(fwd: np.ndarray, n: int, depth: int) -> tuple:
-    """Tree levels from a forward table; a stack of tables (leading axes) gives a
-    stack of trees, each level of shape (..., 2^j)."""
+def _tree_levels(step, n: int, depth: int, batch_shape: tuple = ()) -> tuple:
+    """Levels of the sigma/pi tree from 0^n, each of shape batch_shape + (2^j,).
+
+    ``step`` maps an int64 array of inputs to sigma of each; the children of x
+    are step of (x, x ^ mask), in that order, so a metered step queries the
+    tree breadth-first, sigma-child before pi-child.
+    """
     mask = 1 << (n - 1)
-    levels = [np.zeros(fwd.shape[:-1] + (1,), dtype=np.int64)]
+    levels = [np.zeros(batch_shape + (1,), dtype=np.int64)]
     for _ in range(depth):
         cur = levels[-1]
-        children = (np.take_along_axis(fwd, cur, axis=-1),
-                    np.take_along_axis(fwd, cur ^ mask, axis=-1))
-        levels.append(np.stack(children, axis=-1).reshape(cur.shape[:-1] + (-1,)))
+        levels.append(step(np.stack((cur, cur ^ mask), axis=-1).reshape(cur.shape[:-1] + (-1,))))
     return tuple(levels)
+
+
+def _levels_from_table(fwd: np.ndarray, n: int, depth: int) -> tuple:
+    """Tree levels from a forward table; a stack of tables (leading axes) gives a
+    stack of trees."""
+    return _tree_levels(lambda xs: np.take_along_axis(fwd, xs, axis=-1), n, depth, fwd.shape[:-1])
 
 
 def _check_tree_size(n: int, depth: int):
@@ -193,16 +317,11 @@ def _check_tree_size(n: int, depth: int):
 def build_tree(o: PermutationOracle, depth: int) -> SigmaTree:
     """Materialize T(sigma) through the metered oracle (< 2^(depth+1) queries)."""
     _check_tree_size(o.n, depth)
-    mask = o.flip_mask
-    levels = [np.zeros(1, dtype=np.int64)]
-    for _ in range(depth):
-        nxt = []
-        for x in levels[-1]:
-            x = int(x)
-            nxt.append(o.forward(x))
-            nxt.append(o.forward(x ^ mask))
-        levels.append(np.array(nxt, dtype=np.int64))
-    return SigmaTree(depth, tuple(levels))
+
+    def step(xs):
+        return np.array([o.forward(x) for x in xs.tolist()], dtype=np.int64)
+
+    return SigmaTree(depth, _tree_levels(step, o.n, depth))
 
 
 def tree_unmetered(o: PermutationOracle, depth: int) -> SigmaTree:
@@ -247,16 +366,6 @@ class HybridInstance:
     ground_truth: bool  # y in L(sigma)
 
 
-def _uniform_leaf(o: PermutationOracle, ell: int, g) -> int:
-    """Uniform leaf slot = uniform random walk (matches D_sigma exactly)."""
-    x = 0
-    mask = o.flip_mask
-    fwd = o.forward_table
-    for _ in range(ell):
-        x = int(fwd[x ^ (mask if g.integers(2) else 0)])
-    return x
-
-
 def _distinct_tree_oracle(n: int, ell: int, g, retry_cap: int):
     attempts = 0
     while attempts < retry_cap:
@@ -284,14 +393,16 @@ def sample_hybrid(label: str, n: int, ell: int, seed, retry_cap: int = 10**4) ->
         raise InvalidParameterError(f"label must be one of {HYBRID_LABELS}, got {label!r}")
     g = rng.stream(seed)
     size = 1 << n
+    # sigma's table is read before y is drawn, so sigma is g.permutation(2^n)
     if label == "A":
         o = random_permutation(n, g)
-        y = int(g.integers(size))
         tree = tree_unmetered(o, ell)
+        y = int(g.integers(size))
         return HybridInstance("A", o, y, bool(np.any(tree.leaves == y)))
     if label == "E":
         o = random_permutation(n, g)
-        y = _uniform_leaf(o, ell, g)
+        fwd = o.forward_table
+        y = _walk(lambda x: int(fwd[x]), o.flip_mask, ell, g)
         return HybridInstance("E", o, y, True)
     o, tree, _ = _distinct_tree_oracle(n, ell, g, retry_cap)
     nodes = set(int(v) for v in tree.all_nodes)
@@ -468,13 +579,7 @@ def distinguisher_meet_in_middle(o: PermutationOracle, y: int, ell: int) -> bool
     if ell == 1:
         return o.forward(0) == y or o.forward(mask) == y
     h = ell // 2 - 1
-    frontier = [0]
-    for _ in range(h):
-        nxt = []
-        for x in frontier:
-            nxt.append(o.forward(x))
-            nxt.append(o.forward(x ^ mask))
-        frontier = nxt
+    frontier = build_tree(o, h).leaves.tolist()
     back = [y]
     for _ in range(ell - h - 1):
         nxt = []
@@ -524,7 +629,14 @@ class GameResult:
 def run_distinguishing_game(strategy: str, n: int, ell: int, trials: int, seed) -> GameResult:
     """Fair coin between hybrid A (uniform y) and hybrid E (uniform leaf) per
     trial; the named strategy decides which; query counts come from the oracle
-    counters' delta, exactly."""
+    counters' delta, exactly.
+
+    Streams: ``root`` is ``seed`` for an int seed, or one ``integers(2**63)``
+    draw from a Generator seed. Trial t draws its coin, then A's y or E's walk
+    bits, from ``rng.stream(root, t)``; its lazily sampled sigma draws from
+    ``rng.stream(root, t, 1)``, and E's walk reads it unmetered. So each trial
+    depends on (root, t) alone, and the coins not at all on the strategy.
+    """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if strategy not in STRATEGIES:
@@ -532,12 +644,13 @@ def run_distinguishing_game(strategy: str, n: int, ell: int, trials: int, seed) 
     strat = STRATEGIES[strategy]
     hybrids, decisions, corrects, fwds, invs = [], [], [], [], []
     successes = 0
+    root = int(seed.integers(2**63)) if isinstance(seed, np.random.Generator) else int(seed)
     for t in range(trials):
-        g = rng.stream(seed, t)
+        g = rng.stream(root, t)
         is_leaf_instance = bool(g.integers(2))
-        oracle = random_permutation(n, g)
+        oracle = random_permutation(n, rng.stream(root, t, 1))
         if is_leaf_instance:
-            y = _uniform_leaf(oracle, ell, g)
+            y = _walk(oracle.lookup, oracle.flip_mask, ell, g)
         else:
             y = int(g.integers(1 << n))
         f0, i0 = oracle.query_counts

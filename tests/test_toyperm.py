@@ -464,3 +464,100 @@ class TestSerialization:
         path = tmp_path / "oracle.bin"
         tp.save_oracle(o, path)
         assert np.array_equal(tp.load_oracle(path).forward_table, o.forward_table)
+
+
+class TestLazyOracle:
+    def test_untouched_table_is_one_permutation_draw(self):
+        for n, seed in ((1, 0), (5, 41), (16, 42)):
+            expected = rng.stream(seed).permutation(1 << n)
+            assert np.array_equal(tp.random_permutation(n, seed).forward_table, expected)
+            from_generator = tp.random_permutation(n, rng.stream(seed))
+            assert np.array_equal(from_generator.forward_table, expected)
+
+    def test_completion_uniform_after_mixed_transcript_n3(self):
+        # forward(0), inverse(7), forward(5) assign k = 3 points unless sigma(0) = 7
+        # or sigma(5) = 7; given the answers, the table must be uniform over the
+        # (8 - 3)! completions
+        g = rng.stream(43)
+        samples, counts = 24000, {}
+        for _ in range(samples):
+            o = tp.random_permutation(3, g)
+            a, b, c = o.forward(0), o.inverse(7), o.forward(5)
+            fwd = o.forward_table
+            assert (fwd[0], fwd[b], fwd[5]) == (a, 7, c)
+            if 7 in (a, c):
+                continue
+            free_in = [x for x in range(8) if x not in (0, b, 5)]
+            free_out = sorted(set(range(8)) - {a, 7, c})
+            key = tuple(free_out.index(int(fwd[x])) for x in free_in)
+            counts[key] = counts.get(key, 0) + 1
+        observed = np.zeros(math.factorial(5))
+        observed[: len(counts)] = list(counts.values())
+        expected = observed.sum() / observed.size
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert sps.chi2.sf(chi2, df=observed.size - 1) > 0.001
+
+    def test_inverse_first_points_are_consistent(self):
+        o = tp.random_permutation(6, seed=44)
+        for y in (9, 0, 63, 9, 31):
+            assert o.forward(o.inverse(y)) == y
+        for x in (1, 2, 40):
+            assert o.inverse(o.forward(x)) == x
+        assert o.query_counts == (8, 8)
+
+    def test_queried_points_survive_materialization_and_bytes(self):
+        o = tp.random_permutation(10, seed=45)
+        answers = {x: o.forward(x) for x in (0, 3, 512, 1023)}
+        answers.update({o.inverse(y): y for y in (7, 700)})
+        restored = tp.oracle_from_bytes(tp.oracle_to_bytes(o))
+        for x, y in answers.items():
+            assert o.forward_table[x] == y
+            assert restored.forward(x) == y
+
+    def test_fresh_copy_is_a_view_of_the_same_sigma(self):
+        o = tp.random_permutation(12, seed=46)
+        before = o.forward(5)
+        copy = o.fresh_copy()
+        assert copy.query_counts == (0, 0)
+        assert copy.forward(5) == before
+        assert o.inverse(copy.forward(77)) == 77
+        assert np.array_equal(copy.forward_table, o.forward_table)
+        assert o.query_counts == (1, 1) and copy.query_counts == (2, 0)
+
+    def test_out_of_range_query_rejected(self):
+        o = tp.random_permutation(4, seed=47)
+        with pytest.raises(InvalidParameterError):
+            o.forward(16)
+        with pytest.raises(InvalidParameterError):
+            o.inverse(-1)
+
+    def test_metered_tree_matches_table_tree(self):
+        o = tp.random_permutation(9, seed=48)
+        tree = tp.build_tree(o, 5)
+        assert o.query_counts == (2**6 - 2, 0)
+        for a, b in zip(tree.levels, tp.tree_unmetered(o, 5).levels):
+            assert np.array_equal(a, b)
+
+
+class TestGameStreams:
+    def test_generator_seed_prefix_equals_shorter_game(self):
+        long = tp.run_distinguishing_game("meet_in_middle", 10, 4, 8, rng.stream(49))
+        short = tp.run_distinguishing_game("meet_in_middle", 10, 4, 3, rng.stream(49))
+        for field in ("hybrids", "decisions", "fwd_queries", "inv_queries"):
+            assert getattr(long, field)[:3] == getattr(short, field)
+
+    def test_generator_seed_is_one_root_draw(self):
+        g = rng.stream(50)
+        res = tp.run_distinguishing_game("forward_enum", 10, 4, 6, g)
+        probe = rng.stream(50)
+        root = int(probe.integers(2**63))
+        assert g.integers(2**63) == probe.integers(2**63)  # the game took one draw
+        assert res == tp.run_distinguishing_game("forward_enum", 10, 4, 6, root)
+
+    def test_coins_do_not_depend_on_the_strategy(self):
+        seed = 51
+        coins = tuple("E" if rng.stream(seed, t).integers(2) else "A" for t in range(40))
+        for strategy in tp.STRATEGIES:
+            assert tp.run_distinguishing_game(strategy, 12, 6, 40, seed).hybrids == coins
+        zero = tp.run_distinguishing_game("zero_query", 12, 6, 40, seed)
+        assert zero.successes == coins.count("A")
