@@ -12,19 +12,18 @@ import sys
 from scramblab import benchcli
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--check", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     failures = []
     for name, _ in benchcli.list_experiments():
         code = benchcli.main([
             "run", "--experiment", name, "--seed", str(args.seed),
-            "--out", f"{args.out}/{name}", "--workers", str(args.workers),
+            "--out", f"{args.out}/{name}",
         ] + (["--check"] if args.check else []))
         if code != 0:
             failures.append(name)

@@ -15,13 +15,13 @@ from scramblab import prslab, qcore
 from scramblab.errors import NoScramblingError
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=6, help="half-chain size")
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="schedule_energies.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     half = qcore.build_hamiltonian(args.n, 1.05, 0.5)
     try:

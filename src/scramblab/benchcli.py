@@ -9,7 +9,7 @@ print as "p/q".
 
 CLI:
     scramblab run --experiment NAME [--config FILE] [--set key=value]...
-                  [--seed N] [--out DIR] [--workers W] [--check]
+                  [--seed N] [--out DIR] [--check]
     scramblab list
     scramblab pc --input FILE --eps E [--output FILE]
 
@@ -26,7 +26,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -99,15 +98,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def run_trials(fn, n_trials: int, workers: int = 1) -> list:
-    """Map fn over trial indices; results ordered by index regardless of
-    scheduling (per-trial seeds must come from the index, not the worker)."""
-    if workers <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
-
-
 # ---------------------------------------------------------------------------
 # Experiment registry
 # ---------------------------------------------------------------------------
@@ -117,7 +107,7 @@ class Experiment:
     name: str
     description: str
     params: dict      # name -> (type tag, default)
-    fn: object        # (params, seed, workers) -> (summary, files, checks)
+    fn: object        # (params, seed) -> (summary, files, checks)
 
 
 _REGISTRY: dict = {}
@@ -157,6 +147,8 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
                 raise InvalidParameterError(f"bad type tag {tag}")
         except ValueError as exc:
             raise InvalidParameterError(f"parameter {key}={value!r}: {exc}") from exc
+        if tag.endswith("_list") and not out[key]:
+            raise InvalidParameterError(f"parameter {key} needs at least one value")
     return out
 
 
@@ -167,7 +159,7 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
 @_register("toy-hybrids",
            "exact hybrid distributions at n=3, ell=2: TV(C,D), TV(A,B), TV(D,E) in rationals",
            {"n": ("int", 3), "l": ("int", 2)})
-def _toy_hybrids(params, seed, workers):
+def _toy_hybrids(params, seed):
     n, ell = params["n"], params["l"]
     table = {label: toyperm.hybrid_table(label, n, ell) for label in toyperm.HYBRID_LABELS}
     s_size = len(toyperm.distinct_tree_set(n, ell))
@@ -203,7 +195,7 @@ def _toy_hybrids(params, seed, workers):
            {"n": ("int", 16), "ells": ("int_list", [4, 6, 8, 10]),
             "trials": ("int", 200),
             "strategies": ("str_list", ["zero_query", "forward_enum", "meet_in_middle"])})
-def _toy_distinguish(params, seed, workers):
+def _toy_distinguish(params, seed):
     n, ells, trials = params["n"], params["ells"], params["trials"]
     rows = []
     summary = {"n": n, "ells": ells, "trials": trials, "strategies": {}}
@@ -250,8 +242,10 @@ def _toy_distinguish(params, seed, workers):
 @_register("prs-gram",
            "Gram statistics of Haar-backed shock-state trees: near-orthogonality and sibling moment",
            {"n": ("int", 8), "l": ("int", 3), "trials": ("int", 100)})
-def _prs_gram(params, seed, workers):
+def _prs_gram(params, seed):
     n, ell, trials = params["n"], params["l"], params["trials"]
+    if trials < 2:
+        raise InvalidParameterError(f"prs-gram needs trials >= 2, got {trials}")
     d = 1 << n
     bound = 50.0 / d
 
@@ -263,7 +257,7 @@ def _prs_gram(params, seed, workers):
         gm = prslab.gram_matrix(tree)
         return prslab.near_orthogonality_stat(gm), prslab.sibling_pair_overlap(tree)
 
-    results = run_trials(one_trial, trials, workers)
+    results = [one_trial(t) for t in range(trials)]
     max_off = np.array([r[0] for r in results])
     sib = np.array([r[1] for r in results])
     frac_below = float(np.mean(max_off <= bound))
@@ -306,7 +300,7 @@ def _prs_vs_haar_pair(n, ell):
            {"n": ("int", 8), "l": ("int", 3), "copies": ("int_list", [1, 2, 4]),
             "trials": ("int", 500),
             "strategies": ("str_list", ["swap-test", "overlap-with-reference"])})
-def _prs_distinguish(params, seed, workers):
+def _prs_distinguish(params, seed):
     n, ell, trials = params["n"], params["l"], params["trials"]
     make_pair = _prs_vs_haar_pair(n, ell)
     rows = []
@@ -339,7 +333,7 @@ def _prs_distinguish(params, seed, workers):
             "l_short": ("int", 2), "l_long": ("int", 6), "l_fixed": ("int", 3),
             "l_rand": ("int", 4), "T_rand": ("float", 40.0),
             "copies": ("int", 4), "shots": ("int", 100), "max_budget": ("int", 1 << 21)})
-def _prs_energy(params, seed, workers):
+def _prs_energy(params, seed):
     n, beta = params["n"], params["beta"]
     half = qcore.build_hamiltonian(n, 1.05, 0.5)
     t_scr = qcore.scrambling_time(half, 0.1, rng.stream(seed, 900))
@@ -357,16 +351,6 @@ def _prs_energy(params, seed, workers):
                   prslab.randomized_schedule(2 * n, params["l_rand"], params["T_rand"],
                                              rng.stream(seed, 902))]
 
-    def resolve_budget(pair, pair_idx):
-        budget = base_budget
-        while budget <= params["max_budget"]:
-            res = prslab.energy_attack_experiment(hd, pair, budget // copies, copies,
-                                                  rng.stream(seed, pair_idx), initial=tfd)
-            if res.verdicts[(0, 1)].resolved:
-                return res, budget
-            budget *= 2
-        return res, None
-
     rows = []
     summary = {"n_half": n, "beta": beta, "t_scr": t_scr, "base_budget": base_budget,
                "volume_proxy": "scheduled evolution time T", "pairs": {}}
@@ -375,8 +359,10 @@ def _prs_energy(params, seed, workers):
             ("vary_l", vary_l, True),
             ("vary_m", vary_m, None),
             ("randomized_equal", randomized, False))):
-        base_res = prslab.energy_attack_experiment(hd, pair, shots, copies,
-                                                   rng.stream(seed, pair_idx), initial=tfd)
+        # the randomized pair is judged at the base budget alone
+        cap = params["max_budget"] if expect_resolved is not False else 0
+        base_res, budget = prslab.energy_resolution_budget(
+            hd, pair, shots, copies, cap, rng.stream(seed, pair_idx), initial=tfd)
         entry = {
             "T": [v.schedule.total_time for v in base_res.variants],
             "l": [v.schedule.ell for v in base_res.variants],
@@ -388,18 +374,14 @@ def _prs_energy(params, seed, workers):
             "combined_se": base_res.verdicts[(0, 1)].combined_se,
         }
         if expect_resolved is not False:
-            _, budget = resolve_budget(pair, pair_idx)
             entry["resolution_budget"] = budget
         summary["pairs"][tag] = entry
-        # the reported proxy is the scheduled evolution time itself
-        assert entry["T"] == [v.schedule.total_time for v in base_res.variants]
         for i, v in enumerate(base_res.variants):
             rows.append((tag, i, v.schedule.ell, fmt17(v.schedule.total_time),
                          fmt17(v.exact_energy), fmt17(v.estimate), fmt17(v.std_error),
                          v.measurements))
         if expect_resolved is True:
-            checks.append((f"{tag}_resolved_within_cap",
-                           summary["pairs"][tag].get("resolution_budget") is not None))
+            checks.append((f"{tag}_resolved_within_cap", budget is not None))
         elif expect_resolved is False:
             checks.append((f"{tag}_unresolved_at_base_budget",
                            not entry["resolved_at_base_budget"]))
@@ -416,7 +398,7 @@ def _prs_energy(params, seed, workers):
 @_register("weingarten-verify",
            "exact Weingarten checks: W*G identity, dimension identities, closed forms; Wg table CSV",
            {"k": ("int", 3), "d": ("int", 5), "k_max_identity": ("int", 4)})
-def _weingarten_verify(params, seed, workers):
+def _weingarten_verify(params, seed):
     k, d = params["k"], params["d"]
     checks = []
     identity_report = {}
@@ -452,7 +434,7 @@ def _weingarten_verify(params, seed, workers):
            "power-overlap moment: exact small-d values, MC large-d decay slope",
            {"K": ("int", 2), "d": ("int", 4), "trials": ("int", 10000),
             "d_list": ("int_list", [16, 32, 64, 128])})
-def _appendix_a(params, seed, workers):
+def _appendix_a(params, seed):
     trials = params["trials"]
     exact_k1 = {str(d): weingarten.power_overlap_exact(1, d) for d in range(2, 9)}
     checks = [("exact_K1_equals_1_over_dplus1",
@@ -494,7 +476,7 @@ def _appendix_a(params, seed, workers):
            "rewrite length of Trotterized chaotic evolution vs time (linear growth)",
            {"n": ("int", 6), "t_list": ("int_list", [1, 2, 3, 4, 5, 6, 7, 8]),
             "steps_per_unit": ("int", 4), "eps": ("float", 0.0)})
-def _rewrite_growth(params, seed, workers):
+def _rewrite_growth(params, seed):
     h = qcore.build_hamiltonian(params["n"], 1.05, 0.5)
     rows = []
     lengths = []
@@ -523,7 +505,7 @@ def _rewrite_growth(params, seed, workers):
            {"n": ("int", 8), "t_list": ("int_list", [1, 2, 3, 4]),
             "steps_per_unit": ("int", 4), "eps": ("float", 0.0),
             "shock_site": ("int", 0), "shock_label": ("str", "X")})
-def _switchback(params, seed, workers):
+def _switchback(params, seed):
     h = qcore.build_hamiltonian(params["n"], 1.05, 0.5)
     shock = qcore.PauliTerm.single(params["shock_site"], params["shock_label"])
     rows = []
@@ -553,7 +535,7 @@ def _switchback(params, seed, workers):
            {"n": ("int", 6), "g": ("float", 1.05), "h": ("float", 0.5),
             "threshold": ("float", 0.1), "trials": ("int", 8),
             "time_step": ("float", 0.25), "extra_points": ("int", 8)})
-def _scrambling_time(params, seed, workers):
+def _scrambling_time(params, seed):
     ham = qcore.build_hamiltonian(params["n"], params["g"], params["h"])
     t_scr, values = qcore.scrambling_curve(ham, params["threshold"], seed,
                                            trials=params["trials"], time_step=params["time_step"],
@@ -593,7 +575,7 @@ class RunManifest:
         })
 
 
-def run(experiment: str, raw_params: dict, seed: int, out_dir, workers: int = 1):
+def run(experiment: str, raw_params: dict, seed: int, out_dir):
     """Execute a registered experiment; returns (manifest, summary, all_checks_pass)."""
     if experiment not in _REGISTRY:
         raise KeyError(
@@ -606,7 +588,7 @@ def run(experiment: str, raw_params: dict, seed: int, out_dir, workers: int = 1)
     except OSError as exc:
         raise InvalidParameterError(f"cannot create output directory {out}: {exc.strerror}") from exc
     start = time.monotonic()
-    summary, files, checks = exp.fn(params, seed, workers)
+    summary, files, checks = exp.fn(params, seed)
     duration = time.monotonic() - start
     summary_obj = {"experiment": experiment, "seed": seed, "params": params,
                    "checks": {name: ok for name, ok in checks}, **summary}
@@ -642,19 +624,6 @@ def _write_output(path, text: str) -> None:
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _read_config_file(path) -> dict:
-    out = {}
-    for line in _read_input(path).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParameterError(f"config lines must be 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _pc(args) -> int:
     text = _read_input(args.input)
     try:
@@ -671,15 +640,9 @@ def _pc(args) -> int:
 
 
 def _run(args) -> int:
-    raw = {}
-    if args.config:
-        raw.update(_read_config_file(args.config))
-    for item in args.set:
-        if "=" not in item:
-            raise InvalidParameterError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        raw[key.strip()] = value.strip()
-    manifest, summary, ok = run(args.experiment, raw, args.seed, args.out, args.workers)
+    raw = prslab._parse_keyvals(_read_input(args.config)) if args.config else {}
+    raw.update(prslab._parse_keyvals("\n".join(args.set)))
+    manifest, summary, ok = run(args.experiment, raw, args.seed, args.out)
     n_checks = len(manifest.checks)
     n_pass = sum(1 for _, flag in manifest.checks if flag)
     print(f"{args.experiment}: {n_pass}/{n_checks} checks passed "
@@ -700,7 +663,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default="results")
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--check", action="store_true",
                        help="exit 3 if any acceptance threshold fails")
 

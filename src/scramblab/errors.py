@@ -55,7 +55,7 @@ class BudgetViolationError(ScramblabError, RuntimeError):
 
 
 class DegenerateFitError(ScramblabError, RuntimeError):
-    """A log-log fit was requested on data containing zeros."""
+    """A fit is undefined on its data (fewer than two distinct x, or zeros under a log)."""
 
 
 class SearchInconclusiveError(ScramblabError, RuntimeError):

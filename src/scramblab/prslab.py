@@ -24,6 +24,7 @@ claimed for it. Key 0 is reserved for the identically-zero function.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -605,28 +606,46 @@ def energy_attack_experiment(h: qcore.LocalHamiltonian, variants, shots_per_copy
     """
     if copies < 1 or shots_per_copy < 1:
         raise InvalidParameterError("need copies >= 1 and shots_per_copy >= 1")
+    return _energy_attack(h, _prepared_variants(h, variants, initial),
+                          copies * shots_per_copy, seed)
+
+
+def energy_resolution_budget(h: qcore.LocalHamiltonian, variants, shots_per_copy: int,
+                             copies: int, max_budget: int, seed, *,
+                             initial: qcore.Statevector) -> tuple:
+    """(result at copies * shots_per_copy, the smallest doubled budget up to
+    ``max_budget`` that resolves the pair (0, 1), or None).
+
+    Each step equals ``energy_attack_experiment`` at its budget and restarts
+    from ``seed`` (a Generator is copied, not advanced); each variant's state
+    and exact energy are built once for all steps.
+    """
+    if copies < 1 or shots_per_copy < 1 or len(variants) < 2:
+        raise InvalidParameterError("need copies >= 1, shots_per_copy >= 1 and two variants")
+    prepared = _prepared_variants(h, variants, initial)
     budget = copies * shots_per_copy
+    base = res = _energy_attack(h, prepared, budget, copy.deepcopy(seed))
+    while not res.verdicts[(0, 1)].resolved and budget <= max_budget:
+        budget *= 2
+        if budget <= max_budget:
+            res = _energy_attack(h, prepared, budget, copy.deepcopy(seed))
+    return base, (budget if budget <= max_budget else None)
+
+
+def _prepared_variants(h, variants, initial) -> list:
+    """(schedule, shocked state, exact energy) of each variant."""
+    states = [shocked_evolution_state(h, sched, initial) for sched in variants]
+    return [(sched, s, qcore.energy_expectation(h, s)) for sched, s in zip(variants, states)]
+
+
+def _energy_attack(h, prepared, budget: int, seed) -> EnergyAttackResult:
     n_terms = len(h.terms)
+    base, rem = divmod(budget, n_terms)
+    shots = [base + (1 if t_idx < rem else 0) for t_idx in range(n_terms)]
     results = []
-    for idx, sched in enumerate(variants):
-        state = shocked_evolution_state(h, sched, initial)
-        g = rng.stream(seed, idx)
-        base, rem = divmod(budget, n_terms)
-        est, var = 0.0, 0.0
-        used = 0
-        for t_idx, term in enumerate(h.terms):
-            m = base + (1 if t_idx < rem else 0)
-            if m == 0:
-                continue
-            p_plus = (1.0 + qcore.pauli_expectation(term, state)) / 2.0
-            outcomes = np.where(g.random(m) < p_plus, 1.0, -1.0)
-            mean = float(outcomes.mean())
-            est += term.coefficient * mean
-            v = float(outcomes.var(ddof=1)) if m > 1 else 1.0
-            var += term.coefficient**2 * v / m
-            used += m
-        results.append(VariantEnergy(sched, qcore.energy_expectation(h, state),
-                                     est, math.sqrt(var), used))
+    for idx, (sched, state, exact) in enumerate(prepared):
+        est, se = qcore._term_by_term_estimate(h, state, shots, rng.stream(seed, idx))
+        results.append(VariantEnergy(sched, exact, est, se, budget))
     verdicts = {}
     for i in range(len(results)):
         for j in range(i + 1, len(results)):

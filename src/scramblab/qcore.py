@@ -512,17 +512,24 @@ def sample_energy_measurement(h: LocalHamiltonian, s: Statevector, shots: int, s
     """
     if shots < 1:
         raise InvalidParameterError(f"shots must be >= 1, got {shots}")
-    g = rng.stream(seed)
+    est, se = _term_by_term_estimate(h, s, [shots] * len(h.terms), rng.stream(seed))
+    return EnergyEstimate(est, se, shots, shots * len(h.terms))
+
+
+def _term_by_term_estimate(h: LocalHamiltonian, s: Statevector, shots, g) -> tuple:
+    """(estimate, std_error) of <s|H|s> from +-1 outcomes, ``shots[i]`` for term i;
+    terms with zero shots are skipped, one shot counts the worst-case variance 1."""
     est = 0.0
     var = 0.0
-    for t in h.terms:
+    for t, m in zip(h.terms, shots):
+        if m == 0:
+            continue
         p_plus = (1.0 + pauli_expectation(t, s)) / 2.0
-        outcomes = np.where(g.random(shots) < p_plus, 1.0, -1.0)
-        mean = float(outcomes.mean())
-        est += t.coefficient * mean
-        v = float(outcomes.var(ddof=1)) if shots > 1 else 1.0
-        var += t.coefficient**2 * v / shots
-    return EnergyEstimate(est, math.sqrt(var), shots, shots * len(h.terms))
+        outcomes = np.where(g.random(m) < p_plus, 1.0, -1.0)
+        est += t.coefficient * float(outcomes.mean())
+        v = float(outcomes.var(ddof=1)) if m > 1 else 1.0
+        var += t.coefficient**2 * v / m
+    return est, math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +592,8 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
     if extra_points < 0:
         raise InvalidParameterError(f"extra_points must be >= 0, got {extra_points}")
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     n = h.n_qubits
     if w is None:
         w = PauliTerm.single(0, "X")

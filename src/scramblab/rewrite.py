@@ -131,9 +131,8 @@ def sequence_from_text(text: str) -> GateSequence:
     gates = []
     max_site = -1
     for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# qubits"):
-            fields = stripped.split()
+        fields = line.split()
+        if fields[:2] == ["#", "qubits"]:
             try:
                 if len(fields) != 3 or not fields[2].isdecimal():
                     raise ValueError
@@ -141,7 +140,7 @@ def sequence_from_text(text: str) -> GateSequence:
             except ValueError as exc:
                 raise InvalidParameterError(f"header must be '# qubits N', got {line!r}") from exc
             continue
-        stripped = stripped.split("#", 1)[0].strip()
+        stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         parts = stripped.split()

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 
+from .errors import DegenerateFitError, InvalidParameterError
+
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     p = successes / trials
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
@@ -19,9 +21,14 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
 
 
 def linear_fit(xs, ys) -> tuple:
-    """Least squares y = a*x + b; returns (slope, intercept, r_squared)."""
+    """Least squares y = a*x + b; returns (slope, intercept, r_squared).
+
+    Fewer than two distinct x raise ``DegenerateFitError``.
+    """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    if np.unique(x).size < 2:
+        raise DegenerateFitError(f"a line needs at least two distinct x, got {x.tolist()}")
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))

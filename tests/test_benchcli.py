@@ -71,13 +71,6 @@ class TestRunner:
         assert (out1 / "gram.csv").read_bytes() == (out2 / "gram.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        out1 = tmp_path / "w1"
-        out4 = tmp_path / "w4"
-        bc.run("prs-gram", {"trials": "8"}, 5, out1, workers=1)
-        bc.run("prs-gram", {"trials": "8"}, 5, out4, workers=4)
-        assert (out1 / "gram.csv").read_bytes() == (out4 / "gram.csv").read_bytes()
-
     def test_check_flag_detects_threshold_failure(self, tmp_path):
         # tiny-trial run whose zero-query rate lands off 0.5 at this seed
         _, summary, ok = bc.run("toy-distinguish",
@@ -156,6 +149,22 @@ class TestCliErrors:
                                                      argv, message):
         monkeypatch.chdir(tmp_path)
         assert bc.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("experiment, setting, message", [
+        ("toy-distinguish", "ells=", "at least one value"),
+        ("rewrite-growth", "t_list=", "at least one value"),
+        ("prs-distinguish", "copies=", "at least one value"),
+        ("scrambling-time", "trials=0", "trials must be >= 1"),
+        ("prs-gram", "trials=0", "trials >= 2"),
+        ("toy-distinguish", "ells=4", "two distinct x"),
+        ("rewrite-growth", "t_list=1", "two distinct x"),
+    ])
+    def test_degenerate_sizes_exit_2(self, tmp_path, monkeypatch, capsys,
+                                     experiment, setting, message):
+        monkeypatch.chdir(tmp_path)
+        assert bc.main(["run", "--experiment", experiment, "--set", setting]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 

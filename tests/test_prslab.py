@@ -387,6 +387,40 @@ class TestEnergyAttack:
                                           initial=tfd_beta1)
         assert res.variants[0].measurements == 400
 
+    def test_round_robin_budget_matches_fixed_shots_per_term(self):
+        half = qcore.build_hamiltonian(3, 1.05, 0.5)
+        hd = qcore.doubled_hamiltonian(half)
+        tfd = qcore.tfd_state(half, 1.0)
+        sched = pl.fixed_spacing_schedule(2, 3.0)
+        k = 7
+        res = pl.energy_attack_experiment(hd, [sched], k * len(hd.terms), 1, seed=31,
+                                          initial=tfd)
+        state = pl.shocked_evolution_state(hd, sched, tfd)
+        est = qcore.sample_energy_measurement(hd, state, k, rng.stream(31, 0))
+        assert res.variants[0].estimate == est.estimate
+        assert res.variants[0].std_error == est.std_error
+
+    def test_resolution_budget_steps_equal_single_experiments(self):
+        half = qcore.build_hamiltonian(3, 1.05, 0.5)
+        hd = qcore.doubled_hamiltonian(half)
+        tfd = qcore.tfd_state(half, 1.0)
+        pair = [pl.fixed_spacing_schedule(1, 3.0), pl.fixed_spacing_schedule(3, 3.0)]
+        g = rng.stream(32)
+        base, budget = pl.energy_resolution_budget(hd, pair, 5, 2, 1 << 16, g, initial=tfd)
+        assert g.random() == rng.stream(32).random()  # the caller's stream is not advanced
+        steps = {}
+        b = 10
+        while b <= 1 << 16:
+            steps[b] = pl.energy_attack_experiment(hd, pair, b // 2, 2, rng.stream(32),
+                                                   initial=tfd)
+            b *= 2
+        assert base == steps[10]
+        resolving = [b for b, r in steps.items() if r.verdicts[(0, 1)].resolved]
+        assert budget == min(resolving)
+        assert pl.energy_resolution_budget(hd, pair, 5, 2, 5, 32, initial=tfd)[1] is None
+        with pytest.raises(InvalidParameterError):
+            pl.energy_resolution_budget(hd, pair[:1], 5, 2, 1 << 16, 32, initial=tfd)
+
     def test_energy_strategy_registered_by_name(self):
         # the "energy" name self-calibrates against ensemble a before trials
         half = qcore.build_hamiltonian(3, 1.05, 0.5)

@@ -74,6 +74,9 @@ class TestGateIR:
         with pytest.raises(InvalidParameterError):
             rw.sequence_from_text(text)
 
+    def test_header_needs_its_own_qubits_token(self):
+        assert rw.sequence_from_text("# qubitsfoo 3\nX 0\n").n_qubits == 1
+
 
 class TestUnitaries:
     def test_reversed_inverse_is_exact_inverse(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -27,3 +28,17 @@ def test_query_scaling_plotdata_smoke(tmp_path, capsys):
     for _, _, mean_queries, success in rows:
         assert float(mean_queries) > 0
         assert 0 <= float(success) <= 1
+
+
+def test_schedule_energy_demo_smoke(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    script = _load("schedule_energy_demo")
+    assert script.main(["--n", "3", "--out", str(out)]) == 0
+    assert "using 0.3" in capsys.readouterr().out  # the 3-site chain's OTOC floor is above 0.1
+    lines = out.read_text().splitlines()
+    assert lines[0] == "schedule,l,T,energy"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["fixed l=2 m=2", "fixed l=4 m=2", "fixed l=2 m=4",
+                                    "randomized A", "randomized B"]
+    for _, ell, total_time, energy in rows:
+        assert int(ell) >= 1 and float(total_time) > 0 and math.isfinite(float(energy))
