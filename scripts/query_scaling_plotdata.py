@@ -11,9 +11,10 @@ import csv
 import math
 import sys
 
-from scramblab import stats, toyperm
+from scramblab import benchcli, stats, toyperm
 
 
+@benchcli.exit_2_on_error
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=16)

@@ -11,10 +11,11 @@ import argparse
 import csv
 import sys
 
-from scramblab import prslab, qcore
+from scramblab import benchcli, prslab, qcore
 from scramblab.errors import NoScramblingError
 
 
+@benchcli.exit_2_on_error
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=6, help="half-chain size")

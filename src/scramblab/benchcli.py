@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -162,7 +163,7 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
 def _toy_hybrids(params, seed):
     n, ell = params["n"], params["l"]
     table = {label: toyperm.hybrid_table(label, n, ell) for label in toyperm.HYBRID_LABELS}
-    s_size = len(toyperm.distinct_tree_set(n, ell))
+    s_size = table["D"].denominator >> ell  # D has one path per (sigma in S, leaf slot)
     n_perms = math.factorial(1 << n)
     pr_not_s = Fraction(n_perms - s_size, n_perms)
     tree_nodes = (1 << (ell + 1)) - 1
@@ -436,10 +437,10 @@ def _weingarten_verify(params, seed):
             "d_list": ("int_list", [16, 32, 64, 128])})
 def _appendix_a(params, seed):
     trials = params["trials"]
+    exact_small = weingarten.power_overlap_exact(params["K"], params["d"])
     exact_k1 = {str(d): weingarten.power_overlap_exact(1, d) for d in range(2, 9)}
     checks = [("exact_K1_equals_1_over_dplus1",
-               all(weingarten.power_overlap_exact(1, d) == Fraction(1, d + 1)
-                   for d in range(2, 9)))]
+               all(exact_k1[str(d)] == Fraction(1, d + 1) for d in range(2, 9)))]
     rows = []
     mc_means = []
     for idx, d in enumerate(params["d_list"]):
@@ -452,7 +453,6 @@ def _appendix_a(params, seed):
         slope, _, r2 = stats.linear_fit(np.log([float(d) for d in params["d_list"]]),
                                         np.log(mc_means))
         checks.append((f"K{params['K']}_log_log_slope_-1+-0.15", abs(slope - (-1.0)) <= 0.15))
-    exact_small = weingarten.power_overlap_exact(params["K"], params["d"])
     est_small = prslab.moment_power_overlap_mc(params["d"], params["K"], trials,
                                                rng.stream(seed, 99))
     dev = abs(float(exact_small) - est_small.mean)
@@ -652,6 +652,20 @@ def _run(args) -> int:
     return 0
 
 
+def exit_2_on_error(entry_point):
+    """Wrap a command-line ``main``: a package error or an unknown experiment name
+    prints one ``error: ...`` line to stderr and returns exit code 2, not a traceback."""
+    @functools.wraps(entry_point)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return entry_point(*args, **kwargs)
+        except (ScramblabError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return guarded
+
+
+@exit_2_on_error
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="scramblab",
                                      description="experiment runner for the scramblab suite")
@@ -681,11 +695,7 @@ def main(argv=None) -> int:
     if args.command not in ("pc", "run"):
         parser.print_help()
         return 2
-    try:
-        return _pc(args) if args.command == "pc" else _run(args)
-    except (ScramblabError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _pc(args) if args.command == "pc" else _run(args)
 
 
 if __name__ == "__main__":

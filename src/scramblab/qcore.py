@@ -21,7 +21,9 @@ Conventions
   ``scrambling_curve`` walks the grid once and returns both the scrambling
   time and the averaged |OTOC| curve.
 - Haar unitaries come two ways. ``haar_unitary`` forms a dense U (Ginibre +
-  QR + phase fix), for a U that is reused or whose entries are read.
+  QR + phase fix), for a U that is reused or whose entries are read;
+  ``haar_unitaries`` draws a stack of them with one stacked QR, bit for bit
+  the same matrices.
   ``haar_batches`` yields trial batches in Stewart's factored form, applied
   to vectors in O(d^2) without forming U. Unitaries the package builds skip
   ``UnitaryMatrix``'s O(d^3) unitarity check; user-supplied matrices keep it.
@@ -230,21 +232,27 @@ class LocalHamiltonian:
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def haar_unitary(d: int, seed) -> UnitaryMatrix:
-    """Exactly Haar-distributed d x d unitary.
+def haar_unitaries(d: int, streams) -> np.ndarray:
+    """(B, d, d) stack of exactly Haar-distributed unitaries, one per generator.
 
-    Complex Ginibre matrix followed by QR, with the R diagonal's phases folded
-    back into Q so the distribution is exactly Haar rather than merely
-    approximately so.
+    Each generator draws a complex Ginibre matrix (real parts, then imaginary
+    parts); one stacked QR factors them all, and the R diagonal's phases are
+    folded back into Q so the distribution is exactly Haar rather than merely
+    approximately so. Row b equals ``haar_unitary(d, streams[b])`` bit for bit.
     """
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    g = rng.stream(seed)
-    z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / math.sqrt(2)
+    z = np.empty((len(streams), d, d), dtype=np.complex128)
+    for zb, g in zip(z, streams):
+        zb[...] = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return UnitaryMatrix._trusted(q)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(d: int, seed) -> UnitaryMatrix:
+    """Exactly Haar-distributed d x d unitary: ``haar_unitaries`` on one stream."""
+    return UnitaryMatrix._trusted(haar_unitaries(d, [rng.stream(seed)])[0])
 
 
 HAAR_BATCH_ENTRIES = 1 << 16  # packed reflector entries per HaarBatch (about 1 MB)

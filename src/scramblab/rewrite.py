@@ -7,7 +7,7 @@ priority order. A rule fires only when its analytic operator-norm error bound
 is <= the per-rewrite budget eps; the full trace (rule, position, error,
 window before/after) is recorded.
 
-Default rules, in priority order:
+The rules, in their fixed priority order:
     1. inverse_cancel   [G, G^-1] -> []                      (exact)
     2. merge_rotation   RZ(a) RZ(b) -> RZ(a+b), same for RX  (exact)
     3. zero_angle       RZ(t)/RX(t) -> [], error 2|sin(t/2)| (fires iff <= eps)
@@ -246,20 +246,6 @@ def operator_norm_error(a: GateSequence, b: GateSequence) -> float:
 # Rewrite rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """Window matcher: ``match(window)`` returns (replacement, error) or None.
-
-    The replacement is strictly shorter than the window, or equal-length with
-    strictly fewer parameters; the engine enforces this and fires the rule
-    only when error <= eps.
-    """
-
-    name: str
-    window: int
-    match: object
-
-
 def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     """Inverse pairs among the non-parametric kinds (rotation pairs are the
     merge rule's job, per the fixed priority order)."""
@@ -366,14 +352,16 @@ def _match_pauli_commute(window):
     return None
 
 
-def rule_set_default() -> tuple:
-    """The four shipped rules in their fixed priority order."""
-    return (
-        RewriteRule("inverse_cancel", 2, _match_inverse_cancel),
-        RewriteRule("merge_rotation", 2, _match_merge_rotation),
-        RewriteRule("zero_angle", 1, _match_zero_angle),
-        RewriteRule("pauli_commute", 3, _match_pauli_commute),
-    )
+# The rules as (name, window, match) in their fixed priority order.
+# ``match(window)`` returns (replacement, error) or None. The replacement is
+# strictly shorter than the window, or equal-length with strictly fewer
+# parameters; the pass enforces this and fires a rule only when error <= eps.
+_RULES = (
+    ("inverse_cancel", 2, _match_inverse_cancel),
+    ("merge_rotation", 2, _match_merge_rotation),
+    ("zero_angle", 1, _match_zero_angle),
+    ("pauli_commute", 3, _match_pauli_commute),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +392,7 @@ class RewriteTrace:
         return iter(self.steps)
 
 
-def _one_pass(gates, eps, rules, steps):
+def _one_pass(gates, eps, steps):
     stack = []
     fired = False
     for incoming in gates:
@@ -412,12 +400,11 @@ def _one_pass(gates, eps, rules, steps):
         settled = False
         while not settled:
             settled = True
-            for rule in rules:
-                w = rule.window
+            for name, w, match in _RULES:
                 if len(stack) < w:
                     continue
                 window = tuple(stack[-w:])
-                res = rule.match(window)
+                res = match(window)
                 if res is None:
                     continue
                 replacement, error = res
@@ -426,7 +413,7 @@ def _one_pass(gates, eps, rules, steps):
                 n_params = sum(g.angle is not None for g in window)
                 r_params = sum(g.angle is not None for g in replacement)
                 assert len(replacement) < w or (len(replacement) == w and r_params < n_params)
-                steps.append(RewriteStep(rule.name, len(stack) - w, float(error),
+                steps.append(RewriteStep(name, len(stack) - w, float(error),
                                          window, tuple(replacement)))
                 del stack[-w:]
                 stack.extend(replacement)
@@ -436,33 +423,31 @@ def _one_pass(gates, eps, rules, steps):
     return stack, fired
 
 
-def _rewrite_to_fixpoint(seq: GateSequence, eps: float, rules=None):
+def _rewrite_to_fixpoint(seq: GateSequence, eps: float):
     """Greedy stack passes until one fires nothing: (surviving gate list, RewriteTrace)."""
     if eps < 0:
         raise InvalidParameterError(f"eps must be >= 0, got {eps}")
-    if rules is None:
-        rules = rule_set_default()
     gates = list(seq.gates)
     steps = []
     fired = True
     while fired:
-        gates, fired = _one_pass(gates, eps, rules, steps)
+        gates, fired = _one_pass(gates, eps, steps)
     return gates, RewriteTrace(tuple(steps))
 
 
-def pseudo_complexity(seq: GateSequence, eps: float, rules=None):
+def pseudo_complexity(seq: GateSequence, eps: float):
     """Greedy stack-based rewriting to a fixpoint.
 
     Returns (final length, RewriteTrace). Monotone (never grows the circuit)
     and idempotent: running it on its own output changes nothing.
     """
-    gates, trace = _rewrite_to_fixpoint(seq, eps, rules)
+    gates, trace = _rewrite_to_fixpoint(seq, eps)
     return len(gates), trace
 
 
-def rewritten_sequence(seq: GateSequence, eps: float, rules=None) -> GateSequence:
+def rewritten_sequence(seq: GateSequence, eps: float) -> GateSequence:
     """The surviving gates themselves (same pass as ``pseudo_complexity``)."""
-    gates, _ = _rewrite_to_fixpoint(seq, eps, rules)
+    gates, _ = _rewrite_to_fixpoint(seq, eps)
     return GateSequence(tuple(gates), seq.n_qubits)
 
 
@@ -510,7 +495,7 @@ class SwitchbackResult:
 
 
 def switchback_experiment(h: qcore.LocalHamiltonian, t: float, steps: int,
-                          shock: qcore.PauliTerm, eps: float, rules=None) -> SwitchbackResult:
+                          shock: qcore.PauliTerm, eps: float) -> SwitchbackResult:
     """Rewrite length of V V^-1 (expect 0) versus V shock V^-1.
 
     V = trotterize(h, t, steps); naive = 2|V| + 1. An identity shock reduces
@@ -520,19 +505,19 @@ def switchback_experiment(h: qcore.LocalHamiltonian, t: float, steps: int,
         raise InvalidParameterError("shock must be a single-qubit Pauli or identity")
     v = trotterize(h, t, steps)
     back = v.reversed_inverse()
-    pc_fb, _ = pseudo_complexity(v.concat(back), eps, rules)
+    pc_fb, _ = pseudo_complexity(v.concat(back), eps)
     if shock.is_identity():
         pc_shocked = pc_fb
     else:
         mid = GateSequence((Gate(shock.labels, shock.sites),), h.n_qubits)
-        pc_shocked, _ = pseudo_complexity(v.concat(mid).concat(back), eps, rules)
+        pc_shocked, _ = pseudo_complexity(v.concat(mid).concat(back), eps)
     return SwitchbackResult(pc_fb, pc_shocked, 2 * len(v) + 1)
 
 
-def asymmetry_check(seq: GateSequence, eps: float, rules=None) -> tuple:
+def asymmetry_check(seq: GateSequence, eps: float) -> tuple:
     """(rewrite length of seq, rewrite length of its reversed inverse)."""
-    fwd, _ = pseudo_complexity(seq, eps, rules)
-    rev, _ = pseudo_complexity(seq.reversed_inverse(), eps, rules)
+    fwd, _ = pseudo_complexity(seq, eps)
+    rev, _ = pseudo_complexity(seq.reversed_inverse(), eps)
     return fwd, rev
 
 

@@ -23,10 +23,11 @@ table)``, loaded oracles, splices, the exhaustive enumeration) are unchanged.
 
 The exact hybrid tables enumerate all 8! permutations as one int64 array in
 ``itertools.permutations`` order and build every depth-2 tree from it with
-numpy. Each hybrid is an int64 array of sampling-path counts indexed by
-(rank of sigma, y) over one denominator, the number of paths; the spliced
-permutations of hybrid C are ranked by their Lehmer code. TV between two
-tables is one integer sum, returned as an exact ``Fraction``.
+numpy, once per process, as read-only arrays. Each hybrid is an int64 array
+of sampling-path counts indexed by (rank of sigma, y) over one denominator,
+the number of paths; the spliced permutations of hybrid C are ranked by their
+Lehmer code. TV between two tables is one integer sum, returned as an exact
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -282,9 +284,6 @@ class SigmaTree:
     def all_distinct(self) -> bool:
         return np.unique(self.all_nodes).size == self.node_count
 
-    def contains(self, y: int) -> bool:
-        return bool(np.any(self.all_nodes == y))
-
 
 def _tree_levels(step, n: int, depth: int, batch_shape: tuple = ()) -> tuple:
     """Levels of the sigma/pi tree from 0^n, each of shape batch_shape + (2^j,).
@@ -446,15 +445,20 @@ def _permutation_rank(perms: np.ndarray) -> np.ndarray:
     return later_smaller @ place
 
 
+@lru_cache(maxsize=None)
 def _all_trees(n: int, ell: int):
     """(perms, nodes, leaves, in_s) for every sigma in S_{2^n}, one row each in
-    ``itertools.permutations`` order; ``in_s`` marks the trees whose nodes are distinct."""
+    ``itertools.permutations`` order; ``in_s`` marks the trees whose nodes are distinct.
+    Built once per (n, ell) and shared, so the arrays are read-only."""
     perms = _all_permutations(1 << n)
     levels = _levels_from_table(perms, n, ell)
     nodes = np.concatenate(levels, axis=1)
     ordered = np.sort(nodes, axis=1)
     in_s = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    return perms, nodes, levels[-1], in_s
+    trees = perms, nodes, levels[-1], in_s
+    for array in trees:
+        array.setflags(write=False)
+    return trees
 
 
 def distinct_tree_set(n: int = 3, ell: int = 2) -> list:

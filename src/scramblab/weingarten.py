@@ -16,6 +16,9 @@ for Haar-random U. Everything here is exact rational arithmetic
 (``fractions.Fraction``); floats appear only in the Monte Carlo estimators,
 which exist to cross-check the exact values.
 
+One cached matrix W[a][b] = Wg(p_a p_b^-1, d) per (k, d) over explicit
+permutations serves the W * G check and every moment sum.
+
 ``power_overlap_exact`` evaluates E_U |<0| (U^dag)^K X U^K |0>|^2 where X maps
 basis index v to v + d/2 (mod d): the first-bit flip when d is a power of two,
 and its fixed-point-free generalization for other d.
@@ -31,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import qcore, rng
+from . import qcore, rng, stats
 from .errors import (
     DegenerateFitError,
     InvalidParameterError,
@@ -46,7 +49,7 @@ MAX_WEIGHT = 8
 # ---------------------------------------------------------------------------
 
 def _as_parts(p) -> tuple:
-    parts = tuple(int(x) for x in (p.parts if isinstance(p, (Partition, CycleType)) else p))
+    parts = tuple(int(x) for x in (p.parts if isinstance(p, Partition) else p))
     if any(x <= 0 for x in parts):
         raise InvalidParameterError(f"parts must be positive, got {parts}")
     if list(parts) != sorted(parts, reverse=True):
@@ -69,22 +72,8 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class CycleType:
+class CycleType(Partition):
     """A partition read as cycle lengths of a conjugacy class in S_k."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", _as_parts(self.parts))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def transposition_distance(self) -> int:
-        """|sigma| = k - (number of cycles): minimal transposition count."""
-        return self.weight - len(self.parts)
 
     @property
     def class_size(self) -> int:
@@ -260,6 +249,38 @@ def perm_cycle_type(p: tuple) -> CycleType:
     return CycleType(tuple(sorted(lengths, reverse=True)))
 
 
+@lru_cache(maxsize=None)
+def _perm_table(k: int) -> tuple:
+    """(perms, types): S_k in ``itertools.permutations`` order, and
+    types[a][b] = the cycle-type parts of p_a p_b^-1."""
+    perms = tuple(itertools.permutations(range(k)))
+    inverses = [perm_inverse(p) for p in perms]
+    types = tuple(tuple(perm_cycle_type(perm_compose(p, q)).parts for q in inverses)
+                  for p in perms)
+    return perms, types
+
+
+@lru_cache(maxsize=None)
+def _wg_matrix(k: int, d: int) -> tuple:
+    """W[a][b] = Wg(p_a p_b^-1, d) over ``_perm_table(k)``'s permutations."""
+    _, types = _perm_table(k)
+    by_type = {c.parts: weingarten(c, k, d) for c in partitions(k)}
+    return tuple(tuple(by_type[c] for c in row) for row in types)
+
+
+def _pattern_sum(rows, rows_conj, cols, cols_conj, d: int) -> Fraction:
+    """Sum of Wg(sigma tau^-1, d) over the sigma with rows[p] == rows_conj[sigma(p)]
+    and the tau with cols[p] == cols_conj[tau(p)] for every p; 0, at any d, if none."""
+    k = len(rows)
+    perms, _ = _perm_table(k)
+    sigmas = [a for a, s in enumerate(perms) if all(rows[p] == rows_conj[s[p]] for p in range(k))]
+    taus = [b for b, t in enumerate(perms) if all(cols[p] == cols_conj[t[p]] for p in range(k))]
+    if not sigmas or not taus:
+        return Fraction(0)
+    w = _wg_matrix(k, d)
+    return sum((w[a][b] for a in sigmas for b in taus), Fraction(0))
+
+
 @dataclass(frozen=True)
 class GramIdentityReport:
     ok: bool
@@ -277,16 +298,10 @@ def gram_weingarten_identity(k: int, d: int) -> GramIdentityReport:
         raise ResourceLimitError(f"gram identity check supported for k <= 5, got {k}")
     if d < k:
         raise InvalidParameterError(f"need d >= k, got k = {k}, d = {d}")
-    perms = list(itertools.permutations(range(k)))
-    inv = [perm_inverse(p) for p in perms]
-    n = len(perms)
-    w = [[Fraction(0)] * n for _ in range(n)]
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ct = perm_cycle_type(perm_compose(perms[a], inv[b]))
-            w[a][b] = weingarten(ct, k, d)
-            g[a][b] = Fraction(d ** len(ct.parts))
+    _, types = _perm_table(k)
+    w = _wg_matrix(k, d)
+    g = [[d ** len(c) for c in row] for row in types]
+    n = len(types)
     max_dev = Fraction(0)
     for a in range(n):
         for b in range(n):
@@ -335,17 +350,7 @@ def haar_moment_exact(m: MomentSpec, d: int) -> Fraction:
         raise ResourceLimitError(f"exact moments limited to k <= 4, got {k}")
     if max(max(m.i), max(m.j), max(m.i_conj), max(m.j_conj)) >= d:
         raise InvalidParameterError("index exceeds dimension")
-    total = Fraction(0)
-    perms = list(itertools.permutations(range(k)))
-    for sigma in perms:
-        if any(m.i[p] != m.i_conj[sigma[p]] for p in range(k)):
-            continue
-        for tau in perms:
-            if any(m.j[p] != m.j_conj[tau[p]] for p in range(k)):
-                continue
-            ct = perm_cycle_type(perm_compose(sigma, perm_inverse(tau)))
-            total += weingarten(ct, k, d)
-    return total
+    return _pattern_sum(m.i, m.i_conj, m.j, m.j_conj, d)
 
 
 @dataclass(frozen=True)
@@ -354,13 +359,12 @@ class MCEstimate:
     std_error: float
     trials: int
 
-    @property
-    def real(self) -> float:
-        return self.mean.real
-
 
 def haar_moment_mc(m: MomentSpec, d: int, trials: int, seed) -> MCEstimate:
     """Monte Carlo estimate of the same moment over Haar samples from qcore.
+
+    Trial t draws from ``rng.stream(seed, t)``, in stacks of at most
+    ``qcore.HAAR_BATCH_ENTRIES`` entries.
 
     ``std_error`` combines the real and imaginary sample variances, so
     |exact - mean| <= z * std_error is a meaningful two-dimensional check.
@@ -368,14 +372,12 @@ def haar_moment_mc(m: MomentSpec, d: int, trials: int, seed) -> MCEstimate:
     if trials < 100:
         raise InvalidParameterError(f"need at least 100 trials for the SE, got {trials}")
     samples = np.empty(trials, dtype=np.complex128)
-    for t in range(trials):
-        u = qcore.haar_unitary(d, rng.stream(seed, t)).matrix
-        value = 1.0 + 0.0j
-        for p in range(m.order):
-            value *= u[m.i[p], m.j[p]]
-        for q in range(m.order):
-            value *= np.conj(u[m.i_conj[q], m.j_conj[q]])
-        samples[t] = value
+    chunk = max(1, qcore.HAAR_BATCH_ENTRIES // (d * d))
+    for start in range(0, trials, chunk):
+        stop = min(trials, start + chunk)
+        u = qcore.haar_unitaries(d, [rng.stream(seed, t) for t in range(start, stop)])
+        samples[start:stop] = (np.prod(u[:, m.i, m.j], axis=1)
+                               * np.prod(u[:, m.i_conj, m.j_conj].conj(), axis=1))
     mean = complex(samples.mean())
     if trials > 1:
         var = samples.real.var(ddof=1) + samples.imag.var(ddof=1)
@@ -400,45 +402,25 @@ def bar_index(v: int, d: int) -> int:
     return (v + d // 2) % d
 
 
-def _moment_for_signature(row_sig: int, col_sig: int, k: int, d: int,
-                          perms, wg_by_index) -> Fraction:
-    """Sum over (sigma, tau) given bitmasks of which index pairs coincide."""
-    valid_sigma = []
-    valid_tau = []
-    for s_idx, s in enumerate(perms):
-        if all((row_sig >> (p * k + s[p])) & 1 for p in range(k)):
-            valid_sigma.append(s_idx)
-        if all((col_sig >> (p * k + s[p])) & 1 for p in range(k)):
-            valid_tau.append(s_idx)
-    total = Fraction(0)
-    for s_idx in valid_sigma:
-        for t_idx in valid_tau:
-            total += wg_by_index[s_idx][t_idx]
-    return total
-
-
 def power_overlap_exact(K: int, d: int) -> Fraction:
     """Exact E_U |<0| (U^dag)^K X U^K |0>|^2 with X: v -> bar_index(v, d).
 
     Expands the 2K-th moment sum over all free chain indices; the inner
-    permutation double sum is memoized on the index-coincidence pattern.
+    permutation double sum is evaluated once per index-coincidence pattern.
     """
     if K not in (1, 2):
         raise ResourceLimitError(f"exact power overlap limited to K <= 2, got {K}")
     if not 2 <= d <= 8:
         raise ResourceLimitError(f"exact power overlap limited to 2 <= d <= 8, got {d}")
     k = 2 * K
-    perms = list(itertools.permutations(range(k)))
-    inv = [perm_inverse(p) for p in perms]
-    wg_by_index = [
-        [weingarten(perm_cycle_type(perm_compose(perms[a], inv[b])), k, d) for b in range(len(perms))]
-        for a in range(len(perms))
-    ]
+    if d < k:
+        raise InvalidParameterError(
+            f"exact power overlap at K = {K} needs d >= 2K = {k}, got d = {d}")
     half = d // 2
     bar = lambda v: (v + half) % d
     n_free = 2 + 4 * (K - 1)
-    cache = {}
-    total = Fraction(0)
+    counts = {}     # coincidence pattern -> number of index assignments
+    examples = {}   # coincidence pattern -> one assignment's index tuples
     for assign in itertools.product(range(d), repeat=n_free):
         a, b = assign[0], assign[1]
         chains = assign[2:]
@@ -459,12 +441,12 @@ def power_overlap_exact(K: int, d: int) -> Fraction:
                 if u_cols[p] == c_cols[q]:
                     col_sig |= 1 << (p * k + q)
         key = (row_sig, col_sig)
-        value = cache.get(key)
-        if value is None:
-            value = _moment_for_signature(row_sig, col_sig, k, d, perms, wg_by_index)
-            cache[key] = value
-        total += value
-    return total
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            examples[key] = (u_rows, c_rows, u_cols, c_cols)
+    return sum((n * _pattern_sum(*examples[key], d) for key, n in counts.items()), Fraction(0))
 
 
 def wg_asymptotics_check(c, k: int, d_list) -> float:
@@ -477,7 +459,6 @@ def wg_asymptotics_check(c, k: int, d_list) -> float:
     values = [weingarten(c, k, d) for d in ds]
     if any(v == 0 for v in values):
         raise DegenerateFitError(f"Wg vanishes on {c} for some d in {ds}; log fit undefined")
-    xs = np.log([float(d) for d in ds])
-    ys = np.log([abs(float(v)) for v in values])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope, _, _ = stats.linear_fit(np.log([float(d) for d in ds]),
+                                   np.log([abs(float(v)) for v in values]))
     return slope

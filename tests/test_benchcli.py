@@ -71,6 +71,17 @@ class TestRunner:
         assert (out1 / "gram.csv").read_bytes() == (out2 / "gram.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("experiment", ["toy-hybrids", "weingarten-verify"])
+    def test_cached_tables_keep_reruns_byte_identical(self, experiment, tmp_path):
+        # the second run in this process reads the permutation and Wg tables
+        # the first one cached
+        out1 = tmp_path / "a"
+        out2 = tmp_path / "b"
+        bc.run(experiment, {}, 0, out1)
+        bc.run(experiment, {}, 0, out2)
+        for name in sorted(p.name for p in out1.iterdir() if p.name != "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_check_flag_detects_threshold_failure(self, tmp_path):
         # tiny-trial run whose zero-query rate lands off 0.5 at this seed
         _, summary, ok = bc.run("toy-distinguish",
@@ -130,6 +141,12 @@ class TestCli:
         assert "3 -> 1" in capsys.readouterr().out
         back = rw.sequence_from_text(dst.read_text())
         assert len(back) == 1 and back.gates[0].kind == "RZ"
+
+    def test_exact_overlap_below_its_dimension_exits_2(self, tmp_path, capsys):
+        code = bc.main(["run", "--experiment", "appendix-a", "--set", "d=3",
+                        "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "d = 3" in capsys.readouterr().err
 
     def test_pc_malformed_input_exits_2(self, tmp_path, capsys):
         src = tmp_path / "circuit.txt"

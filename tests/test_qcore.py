@@ -163,6 +163,14 @@ class TestTrustedUnitaries:
         assert np.array_equal(u, expected)
         assert not u.flags.writeable
 
+    @pytest.mark.parametrize("d", [4, 8, 64])
+    def test_stacked_draws_match_one_at_a_time(self, d):
+        streams = [rng.stream(31, t) for t in range(5)]
+        stack = qcore.haar_unitaries(d, streams)
+        assert stack.shape == (5, d, d)
+        for t in range(5):
+            assert np.array_equal(stack[t], qcore.haar_unitary(d, rng.stream(31, t)).matrix)
+
 
 class TestPrimitives:
     def test_apply_pauli_flips_first_qubit(self):

@@ -42,3 +42,17 @@ def test_schedule_energy_demo_smoke(tmp_path, capsys):
                                     "randomized A", "randomized B"]
     for _, ell, total_time, energy in rows:
         assert int(ell) >= 1 and float(total_time) > 0 and math.isfinite(float(energy))
+
+
+def test_query_scaling_plotdata_package_error_exits_2(tmp_path, capsys):
+    # one depth leaves nothing to fit a slope to
+    script = _load("query_scaling_plotdata")
+    assert script.main(["--n", "10", "--ells", "4", "--trials", "3",
+                        "--out", str(tmp_path / "q.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_schedule_energy_demo_package_error_exits_2(tmp_path, capsys):
+    script = _load("schedule_energy_demo")
+    assert script.main(["--n", "0", "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

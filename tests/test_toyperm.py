@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from scramblab import rng, toyperm as tp
+from scramblab import benchcli, rng, toyperm as tp
 from scramblab.errors import InvalidParameterError, ResourceLimitError
 
 
@@ -320,6 +320,27 @@ class TestHybridTable:
     def test_weights_are_read_only(self, tables):
         with pytest.raises(ValueError):
             tables["A"].weights[0, 0] = 2
+
+    def test_toy_hybrids_enumerates_s8_once(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted(size):
+            builds.append(size)
+            return all_permutations(size)
+
+        all_permutations = tp._all_permutations
+        monkeypatch.setattr(tp, "_all_permutations", counted)
+        tp._all_trees.cache_clear()
+        try:
+            _, summary, ok = benchcli.run("toy-hybrids", {}, 0, tmp_path)
+        finally:
+            tp._all_trees.cache_clear()
+        assert ok and summary["s_size"] == 5760
+        assert builds == [8]
+
+    def test_shared_tree_arrays_are_read_only(self):
+        for array in tp._all_trees(3, 2):
+            assert not array.flags.writeable
 
     def test_unsupported_size_and_label(self):
         with pytest.raises(ResourceLimitError):

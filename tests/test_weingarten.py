@@ -211,6 +211,28 @@ class TestMoments:
             est = wg.haar_moment_mc(m, 4, 10**4, rng.stream(78, i))
             assert abs(exact - est.mean) <= 5 * max(est.std_error, 1e-12)
 
+    def test_matches_brute_force_double_sum(self):
+        # the moment formula summed directly: every (sigma, tau) in S_k x S_k,
+        # each cycle type of sigma tau^-1 computed afresh
+        def brute(m, d):
+            k = m.order
+            total = Fraction(0)
+            for sigma in itertools.permutations(range(k)):
+                for tau in itertools.permutations(range(k)):
+                    if all(m.i[p] == m.i_conj[sigma[p]] and m.j[p] == m.j_conj[tau[p]]
+                           for p in range(k)):
+                        ct = wg.perm_cycle_type(wg.perm_compose(sigma, wg.perm_inverse(tau)))
+                        total += wg.weingarten(ct, k, d)
+            return total
+
+        g = rng.stream(79)
+        for _ in range(40):
+            k = int(g.integers(1, 4))
+            d = int(g.integers(3, 7))
+            span = int(g.integers(1, d + 1))  # small spans make indices coincide
+            m = wg.MomentSpec(*(tuple(g.integers(span, size=k)) for _ in range(4)))
+            assert wg.haar_moment_exact(m, d) == brute(m, d)
+
     def test_order_cap(self):
         m = wg.MomentSpec((0,) * 5, (0,) * 5, (0,) * 5, (0,) * 5)
         with pytest.raises(ResourceLimitError):
@@ -232,6 +254,17 @@ class TestPowerOverlap:
         # frozen from this implementation, MC cross-checked in test_prslab
         assert wg.power_overlap_exact(2, 4) == Fraction(83, 420)
         assert wg.power_overlap_exact(2, 8) == Fraction(1231, 11088)
+
+    def test_frozen_k2_values_odd_and_mid_dimensions(self):
+        assert wg.power_overlap_exact(2, 5) == Fraction(199, 1200)
+        assert wg.power_overlap_exact(2, 6) == Fraction(404, 2835)
+        assert wg.power_overlap_exact(2, 7) == Fraction(367, 2940)
+
+    def test_dimension_below_moment_order_rejected(self):
+        # K = 2 is a moment of order 4, and Wg needs d >= 4
+        for d in (2, 3):
+            with pytest.raises(InvalidParameterError, match="K = 2"):
+                wg.power_overlap_exact(2, d)
 
     def test_range_cap(self):
         with pytest.raises(ResourceLimitError):
