@@ -107,7 +107,7 @@ def _csv_text(header, rows) -> str:
 class Experiment:
     name: str
     description: str
-    params: dict      # name -> (type tag, default)
+    params: dict      # name -> default; --set parses a value as its default's type
     fn: object        # (params, seed) -> (summary, files, checks)
 
 
@@ -127,28 +127,21 @@ def list_experiments():
 
 
 def _parse_params(exp: Experiment, raw: dict) -> dict:
-    out = {k: default for k, (_, default) in exp.params.items()}
+    out = dict(exp.params)
     for key, value in raw.items():
         if key not in exp.params:
             raise InvalidParameterError(
                 f"unknown parameter {key!r} for {exp.name}; valid: {sorted(exp.params)}")
-        tag = exp.params[key][0]
+        default = exp.params[key]
         try:
-            if tag == "int":
-                out[key] = int(value)
-            elif tag == "float":
-                out[key] = float(value)
-            elif tag == "str":
-                out[key] = str(value)
-            elif tag == "int_list":
-                out[key] = [int(v) for v in str(value).split(",") if v.strip()]
-            elif tag == "str_list":
-                out[key] = [v.strip() for v in str(value).split(",") if v.strip()]
+            if isinstance(default, list):
+                parse = str.strip if isinstance(default[0], str) else type(default[0])
+                out[key] = [parse(v) for v in str(value).split(",") if v.strip()]
             else:
-                raise InvalidParameterError(f"bad type tag {tag}")
+                out[key] = type(default)(value)
         except ValueError as exc:
             raise InvalidParameterError(f"parameter {key}={value!r}: {exc}") from exc
-        if tag.endswith("_list") and not out[key]:
+        if isinstance(default, list) and not out[key]:
             raise InvalidParameterError(f"parameter {key} needs at least one value")
     return out
 
@@ -159,7 +152,7 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
 
 @_register("toy-hybrids",
            "exact hybrid distributions at n=3, ell=2: TV(C,D), TV(A,B), TV(D,E) in rationals",
-           {"n": ("int", 3), "l": ("int", 2)})
+           {"n": 3, "l": 2})
 def _toy_hybrids(params, seed):
     n, ell = params["n"], params["l"]
     table = {label: toyperm.hybrid_table(label, n, ell) for label in toyperm.HYBRID_LABELS}
@@ -193,9 +186,8 @@ def _toy_hybrids(params, seed):
 
 @_register("toy-distinguish",
            "coin-flip games over ell for each strategy: success rates and query scaling",
-           {"n": ("int", 16), "ells": ("int_list", [4, 6, 8, 10]),
-            "trials": ("int", 200),
-            "strategies": ("str_list", ["zero_query", "forward_enum", "meet_in_middle"])})
+           {"n": 16, "ells": [4, 6, 8, 10], "trials": 200,
+            "strategies": ["zero_query", "forward_enum", "meet_in_middle"]})
 def _toy_distinguish(params, seed):
     n, ells, trials = params["n"], params["ells"], params["trials"]
     rows = []
@@ -242,7 +234,7 @@ def _toy_distinguish(params, seed):
 
 @_register("prs-gram",
            "Gram statistics of Haar-backed shock-state trees: near-orthogonality and sibling moment",
-           {"n": ("int", 8), "l": ("int", 3), "trials": ("int", 100)})
+           {"n": 8, "l": 3, "trials": 100})
 def _prs_gram(params, seed):
     n, ell, trials = params["n"], params["l"], params["trials"]
     if trials < 2:
@@ -298,9 +290,8 @@ def _prs_vs_haar_pair(n, ell):
 
 @_register("prs-distinguish",
            "copy-limited distinguishing bias: shock ensemble vs Haar states",
-           {"n": ("int", 8), "l": ("int", 3), "copies": ("int_list", [1, 2, 4]),
-            "trials": ("int", 500),
-            "strategies": ("str_list", ["swap-test", "overlap-with-reference"])})
+           {"n": 8, "l": 3, "copies": [1, 2, 4], "trials": 500,
+            "strategies": ["swap-test", "overlap-with-reference"]})
 def _prs_distinguish(params, seed):
     n, ell, trials = params["n"], params["l"], params["trials"]
     make_pair = _prs_vs_haar_pair(n, ell)
@@ -330,10 +321,8 @@ def _prs_distinguish(params, seed):
 
 @_register("prs-energy",
            "energy-measurement attack: fixed-spacing leak vs randomized-schedule mitigation",
-           {"n": ("int", 6), "beta": ("float", 1.0), "m": ("int", 2), "m_alt": ("int", 4),
-            "l_short": ("int", 2), "l_long": ("int", 6), "l_fixed": ("int", 3),
-            "l_rand": ("int", 4), "T_rand": ("float", 40.0),
-            "copies": ("int", 4), "shots": ("int", 100), "max_budget": ("int", 1 << 21)})
+           {"n": 6, "beta": 1.0, "m": 2, "m_alt": 4, "l_short": 2, "l_long": 6, "l_fixed": 3,
+            "l_rand": 4, "T_rand": 40.0, "copies": 4, "shots": 100, "max_budget": 1 << 21})
 def _prs_energy(params, seed):
     n, beta = params["n"], params["beta"]
     half = qcore.build_hamiltonian(n, 1.05, 0.5)
@@ -398,7 +387,7 @@ def _prs_energy(params, seed):
 
 @_register("weingarten-verify",
            "exact Weingarten checks: W*G identity, dimension identities, closed forms; Wg table CSV",
-           {"k": ("int", 3), "d": ("int", 5), "k_max_identity": ("int", 4)})
+           {"k": 3, "d": 5, "k_max_identity": 4})
 def _weingarten_verify(params, seed):
     k, d = params["k"], params["d"]
     checks = []
@@ -433,8 +422,7 @@ def _weingarten_verify(params, seed):
 
 @_register("appendix-a",
            "power-overlap moment: exact small-d values, MC large-d decay slope",
-           {"K": ("int", 2), "d": ("int", 4), "trials": ("int", 10000),
-            "d_list": ("int_list", [16, 32, 64, 128])})
+           {"K": 2, "d": 4, "trials": 10000, "d_list": [16, 32, 64, 128]})
 def _appendix_a(params, seed):
     trials = params["trials"]
     exact_small = weingarten.power_overlap_exact(params["K"], params["d"])
@@ -474,8 +462,7 @@ def _appendix_a(params, seed):
 
 @_register("rewrite-growth",
            "rewrite length of Trotterized chaotic evolution vs time (linear growth)",
-           {"n": ("int", 6), "t_list": ("int_list", [1, 2, 3, 4, 5, 6, 7, 8]),
-            "steps_per_unit": ("int", 4), "eps": ("float", 0.0)})
+           {"n": 6, "t_list": [1, 2, 3, 4, 5, 6, 7, 8], "steps_per_unit": 4, "eps": 0.0})
 def _rewrite_growth(params, seed):
     h = qcore.build_hamiltonian(params["n"], 1.05, 0.5)
     rows = []
@@ -502,9 +489,8 @@ def _rewrite_growth(params, seed):
 
 @_register("switchback",
            "forward-back telescoping vs a single shock: partial cancellation counts",
-           {"n": ("int", 8), "t_list": ("int_list", [1, 2, 3, 4]),
-            "steps_per_unit": ("int", 4), "eps": ("float", 0.0),
-            "shock_site": ("int", 0), "shock_label": ("str", "X")})
+           {"n": 8, "t_list": [1, 2, 3, 4], "steps_per_unit": 4, "eps": 0.0,
+            "shock_site": 0, "shock_label": "X"})
 def _switchback(params, seed):
     h = qcore.build_hamiltonian(params["n"], 1.05, 0.5)
     shock = qcore.PauliTerm.single(params["shock_site"], params["shock_label"])
@@ -532,9 +518,8 @@ def _switchback(params, seed):
 
 @_register("scrambling-time",
            "OTOC decay of the mixed-field Ising chain and the threshold crossing time",
-           {"n": ("int", 6), "g": ("float", 1.05), "h": ("float", 0.5),
-            "threshold": ("float", 0.1), "trials": ("int", 8),
-            "time_step": ("float", 0.25), "extra_points": ("int", 8)})
+           {"n": 6, "g": 1.05, "h": 0.5, "threshold": 0.1, "trials": 8,
+            "time_step": 0.25, "extra_points": 8})
 def _scrambling_time(params, seed):
     ham = qcore.build_hamiltonian(params["n"], params["g"], params["h"])
     t_scr, values = qcore.scrambling_curve(ham, params["threshold"], seed,

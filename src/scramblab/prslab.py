@@ -206,14 +206,26 @@ class PRSEnsembleSpec:
             raise InvalidParameterError("step time defined only for hamiltonian scramblers")
         return self.multiplier * self.scrambling_time
 
-    def scrambler_unitary(self) -> qcore.UnitaryMatrix:
+    def scramble(self, amps: np.ndarray) -> np.ndarray:
+        """U @ amps for a length-d vector or a (d, k) block: the cached Haar draw, or
+        exp(-i H m t_scr) applied in H's cached eigenbasis without being formed."""
+        if self.scrambler_kind == "hamiltonian":
+            return qcore._evolve_amplitudes(self.hamiltonian, self.step_time, amps)
         if self._unitary is None:
-            if self.scrambler_kind == "haar":
-                u = qcore.haar_unitary(self.dimension, self.seed)
-            else:
-                u = qcore.evolution_unitary(self.hamiltonian, self.step_time)
-            object.__setattr__(self, "_unitary", u)
-        return self._unitary
+            object.__setattr__(self, "_unitary", qcore.haar_unitary(self.dimension, self.seed))
+        return self._unitary.matrix @ amps
+
+    def scrambler_unitary(self) -> qcore.UnitaryMatrix:
+        """U as a dense matrix, ``scramble`` of the identity, for callers that read its entries."""
+        return qcore.UnitaryMatrix._trusted(self.scramble(np.eye(self.dimension, dtype=complex)))
+
+
+def _site0_qubits(state: qcore.Statevector) -> int:
+    """n of a state to shock on site 0, checked as ``qcore.apply_pauli`` checks it."""
+    n = state.n_qubits
+    if n < 1:
+        raise DimensionMismatchError(f"a shock on site 0 does not fit on {n} qubits")
+    return n
 
 
 def prs_state(spec: PRSEnsembleSpec, key: str) -> qcore.Statevector:
@@ -224,14 +236,10 @@ def prs_state(spec: PRSEnsembleSpec, key: str) -> qcore.Statevector:
     """
     key = validate_shock_key(key, spec.num_shocks)
     if key.strip("I"):
-        # the checks of qcore.apply_pauli: d = 2^n, and a site 0 to shock
-        n = spec.initial_state.n_qubits
-        if n < 1:
-            raise DimensionMismatchError(f"a shock on site 0 does not fit on {n} qubits")
-    u = spec.scrambler_unitary().matrix
+        n = _site0_qubits(spec.initial_state)
     amps = spec.initial_state.amplitudes
     for label in key:
-        amps = u @ amps
+        amps = spec.scramble(amps)
         if label != "I":
             amps = qcore._apply_site_pauli(amps, label, 0, n)
     return qcore.Statevector(amps)
@@ -239,19 +247,19 @@ def prs_state(spec: PRSEnsembleSpec, key: str) -> qcore.Statevector:
 
 def shocked_evolution_state(h: qcore.LocalHamiltonian, sched: ShockSchedule,
                             initial: qcore.Statevector) -> qcore.Statevector:
-    """Exact evolution segments interleaved with the scheduled Pauli shocks."""
+    """Exact evolution segments interleaved with the scheduled Pauli shocks, on raw amplitudes."""
     if h.dimension != initial.dimension:
         raise DimensionMismatchError("hamiltonian and state dimensions differ")
     for _, q, _ in sched.entries:
         if q >= h.n_qubits:
             raise ScheduleError(f"shock site {q} exceeds {h.n_qubits} qubits")
-    state = initial
+    amps = initial.amplitudes
     t_prev = 0.0
     for t, q, p in sched.entries:
-        state = qcore.evolve(h, t - t_prev, state)
-        state = qcore.apply_pauli(qcore.PauliTerm.single(q, p), state)
+        amps = qcore._evolve_amplitudes(h, t - t_prev, amps)
+        amps = qcore._apply_site_pauli(amps, p, q, h.n_qubits)
         t_prev = t
-    return qcore.evolve(h, sched.total_time - t_prev, state)
+    return qcore.Statevector(qcore._evolve_amplitudes(h, sched.total_time - t_prev, amps))
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +271,14 @@ TREE_AMPLITUDE_CAP = 1 << 23  # total complex entries across all nodes
 
 @dataclass(frozen=True)
 class StateTree:
-    """4-ary tree: children of |phi> are U|phi>, X1 U|phi>, Y1 U|phi>, Z1 U|phi>."""
+    """4-ary tree: children of |phi> are U|phi>, X1 U|phi>, Y1 U|phi>, Z1 U|phi>.
+
+    ``levels[j]`` is a read-only (d, 4^j) block whose column i is ``prs_state`` of
+    the j-letter key spelling i in base 4 over I, X, Y, Z, first shock first.
+    """
 
     depth: int
     levels: tuple
-
-    @property
-    def nodes(self) -> list:
-        return [s for level in self.levels for s in level]
 
     @property
     def node_count(self) -> int:
@@ -287,23 +295,20 @@ def build_state_tree(spec: PRSEnsembleSpec, depth: int = None) -> StateTree:
     if count * spec.dimension > TREE_AMPLITUDE_CAP:
         raise ResourceLimitError(
             f"tree of depth {depth} at dimension {spec.dimension} exceeds the memory cap")
-    u = spec.scrambler_unitary()
-    paulis = [qcore.PauliTerm.single(0, c) for c in "XYZ"]
-    levels = [(spec.initial_state,)]
+    levels = [spec.initial_state.amplitudes[:, None]]
+    n = _site0_qubits(spec.initial_state) if depth else 0
     for _ in range(depth):
-        nxt = []
-        for node in levels[-1]:
-            scrambled = qcore.apply_unitary(u, node)
-            nxt.append(scrambled)
-            nxt.extend(qcore.apply_pauli(p, scrambled) for p in paulis)
-        levels.append(tuple(nxt))
+        scrambled = spec.scramble(levels[-1])
+        children = [qcore._apply_site_pauli(scrambled, c, 0, n) for c in SHOCK_LABELS]
+        levels.append(np.stack(children, axis=-1).reshape(spec.dimension, -1))
+        levels[-1].setflags(write=False)
     return StateTree(depth, tuple(levels))
 
 
 def gram_matrix(tree: StateTree) -> np.ndarray:
     """|<a|b>|^2 over every ordered pair of tree nodes."""
-    v = np.stack([s.amplitudes for s in tree.nodes])
-    return np.abs(v.conj() @ v.T) ** 2
+    v = np.hstack(tree.levels)
+    return np.abs(v.T.conj() @ v) ** 2
 
 
 def near_orthogonality_stat(gram: np.ndarray) -> float:
@@ -318,7 +323,7 @@ def sibling_pair_overlap(tree: StateTree) -> float:
     """|<U phi | X_1 U phi>|^2: the first two children of the root."""
     if tree.depth < 1:
         raise InvalidParameterError("tree has no children")
-    return tree.levels[1][0].overlap_sq(tree.levels[1][1])
+    return float(abs(np.vdot(tree.levels[1][:, 0], tree.levels[1][:, 1])) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +622,8 @@ def energy_resolution_budget(h: qcore.LocalHamiltonian, variants, shots_per_copy
     ``max_budget`` that resolves the pair (0, 1), or None).
 
     Each step equals ``energy_attack_experiment`` at its budget and restarts
-    from ``seed`` (a Generator is copied, not advanced); each variant's state
-    and exact energy are built once for all steps.
+    from ``seed`` (a Generator is copied, not advanced); each variant's state,
+    term expectations and exact energy are computed once for all steps.
     """
     if copies < 1 or shots_per_copy < 1 or len(variants) < 2:
         raise InvalidParameterError("need copies >= 1, shots_per_copy >= 1 and two variants")
@@ -633,9 +638,12 @@ def energy_resolution_budget(h: qcore.LocalHamiltonian, variants, shots_per_copy
 
 
 def _prepared_variants(h, variants, initial) -> list:
-    """(schedule, shocked state, exact energy) of each variant."""
+    """(schedule, term expectations <P_i>, exact energy) of each variant; the exact
+    energy sums coeff_i <P_i> in ``qcore.energy_expectation``'s order."""
     states = [shocked_evolution_state(h, sched, initial) for sched in variants]
-    return [(sched, s, qcore.energy_expectation(h, s)) for sched, s in zip(variants, states)]
+    values = [[qcore.pauli_expectation(t, s) for t in h.terms] for s in states]
+    return [(sched, e, sum(t.coefficient * x for t, x in zip(h.terms, e)))
+            for sched, e in zip(variants, values)]
 
 
 def _energy_attack(h, prepared, budget: int, seed) -> EnergyAttackResult:
@@ -643,8 +651,8 @@ def _energy_attack(h, prepared, budget: int, seed) -> EnergyAttackResult:
     base, rem = divmod(budget, n_terms)
     shots = [base + (1 if t_idx < rem else 0) for t_idx in range(n_terms)]
     results = []
-    for idx, (sched, state, exact) in enumerate(prepared):
-        est, se = qcore._term_by_term_estimate(h, state, shots, rng.stream(seed, idx))
+    for idx, (sched, expectations, exact) in enumerate(prepared):
+        est, se = qcore._term_by_term_estimate(h, expectations, shots, rng.stream(seed, idx))
         results.append(VariantEnergy(sched, exact, est, se, budget))
     verdicts = {}
     for i in range(len(results)):

@@ -14,7 +14,9 @@ Conventions
   per-Hamiltonian cached eigendecomposition (single-writer fill; safe for
   concurrent reads afterwards). The basis change evecs^dag @ s is taken as
   (s^dag @ evecs)^dag, so no conjugated d x d copy of the eigenvectors is
-  built per call; nothing beyond the eigensystem itself is cached.
+  built per call; nothing beyond the eigensystem itself is cached. No dense
+  exp(-i*H*t) is formed: ``prslab``'s shock walks take the same eigenbasis
+  step on raw vectors and (d, k) blocks.
 - OTOCs are trial-batched: the Haar states and their V-shocked copies form
   the columns of one d x 2k block, moved into the eigenbasis once, and each
   grid time costs three block products with the eigenvectors.
@@ -90,7 +92,7 @@ class UnitaryMatrix:
 
     A matrix given to the constructor is copied and, for d <= 512, checked for
     unitarity (an O(d^3) product). Unitaries the package builds itself
-    (``haar_unitary``, ``evolution_unitary``) are unitary by construction and
+    (``haar_unitary``, ``scrambler_unitary``) are unitary by construction and
     skip the check through the private ``_trusted`` path.
     """
 
@@ -450,20 +452,19 @@ def evolve(h: LocalHamiltonian, t: float, s: Statevector) -> Statevector:
     """exp(-i*H*t)|s> via the cached eigendecomposition of H."""
     if h.dimension != s.dimension:
         raise DimensionMismatchError(f"hamiltonian dim {h.dimension} != state dim {s.dimension}")
+    return Statevector(_evolve_amplitudes(h, t, s.amplitudes))
+
+
+def _evolve_amplitudes(h: LocalHamiltonian, t: float, amps: np.ndarray) -> np.ndarray:
+    """exp(-i*H*t) on a length-d vector or a (d, k) column block, in the cached eigenbasis."""
     evals, evecs = h.eigensystem()
-    phases = np.exp(-1j * evals * t)
-    return Statevector(evecs @ (phases * _to_eigenbasis(evecs, s.amplitudes)))
+    phases = np.exp(-1j * evals * t).reshape((-1,) + (1,) * (amps.ndim - 1))
+    return evecs @ (phases * _to_eigenbasis(evecs, amps))
 
 
 def _to_eigenbasis(evecs: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """evecs^dag @ amps for a vector or a (d, k) block, without a conjugated d x d copy."""
     return (amps.T.conj() @ evecs).conj().T
-
-
-def evolution_unitary(h: LocalHamiltonian, t: float) -> UnitaryMatrix:
-    """Dense exp(-i*H*t)."""
-    evals, evecs = h.eigensystem()
-    return UnitaryMatrix._trusted(evecs @ (np.exp(-1j * evals * t)[:, None] * evecs.conj().T))
 
 
 def tfd_state(h_half: LocalHamiltonian, beta: float) -> Statevector:
@@ -520,19 +521,20 @@ def sample_energy_measurement(h: LocalHamiltonian, s: Statevector, shots: int, s
     """
     if shots < 1:
         raise InvalidParameterError(f"shots must be >= 1, got {shots}")
-    est, se = _term_by_term_estimate(h, s, [shots] * len(h.terms), rng.stream(seed))
+    expectations = [pauli_expectation(t, s) for t in h.terms]
+    est, se = _term_by_term_estimate(h, expectations, [shots] * len(h.terms), rng.stream(seed))
     return EnergyEstimate(est, se, shots, shots * len(h.terms))
 
 
-def _term_by_term_estimate(h: LocalHamiltonian, s: Statevector, shots, g) -> tuple:
-    """(estimate, std_error) of <s|H|s> from +-1 outcomes, ``shots[i]`` for term i;
-    terms with zero shots are skipped, one shot counts the worst-case variance 1."""
+def _term_by_term_estimate(h: LocalHamiltonian, expectations, shots, g) -> tuple:
+    """(estimate, std_error) of <H> from +-1 outcomes of mean ``expectations[i]``, ``shots[i]``
+    for term i; terms with zero shots are skipped, one shot counts the worst-case variance 1."""
     est = 0.0
     var = 0.0
-    for t, m in zip(h.terms, shots):
+    for t, e, m in zip(h.terms, expectations, shots):
         if m == 0:
             continue
-        p_plus = (1.0 + pauli_expectation(t, s)) / 2.0
+        p_plus = (1.0 + e) / 2.0
         outcomes = np.where(g.random(m) < p_plus, 1.0, -1.0)
         est += t.coefficient * float(outcomes.mean())
         v = float(outcomes.var(ddof=1)) if m > 1 else 1.0

@@ -348,6 +348,8 @@ def haar_moment_exact(m: MomentSpec, d: int) -> Fraction:
     k = m.order
     if k > 4:
         raise ResourceLimitError(f"exact moments limited to k <= 4, got {k}")
+    if d < k:
+        raise InvalidParameterError(f"exact moments need d >= k, got k = {k}, d = {d}")
     if max(max(m.i), max(m.j), max(m.i_conj), max(m.j_conj)) >= d:
         raise InvalidParameterError("index exceeds dimension")
     return _pattern_sum(m.i, m.i_conj, m.j, m.j_conj, d)

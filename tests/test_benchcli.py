@@ -47,6 +47,23 @@ class TestRunner:
         with pytest.raises(InvalidParameterError):
             bc.run("toy-hybrids", {"bogus": "1"}, 0, tmp_path)
 
+    def test_set_values_parse_as_their_defaults_types(self):
+        def parse(experiment, raw):
+            return bc._parse_params(bc._REGISTRY[experiment], raw)
+
+        energy = parse("prs-energy", {"beta": "2", "shots": "7"})
+        assert energy["beta"] == 2.0 and isinstance(energy["beta"], float)
+        assert energy["shots"] == 7 and isinstance(energy["shots"], int)
+        games = parse("toy-distinguish", {"ells": " 4, 6 ,", "strategies": " zero_query ,x "})
+        assert games["ells"] == [4, 6] and games["strategies"] == ["zero_query", "x"]
+        assert parse("switchback", {"shock_label": " Y"})["shock_label"] == " Y"
+        with pytest.raises(InvalidParameterError,
+                           match=r"parameter ells=' 4x': invalid literal for int\(\) "
+                                 r"with base 10: ' 4x'"):
+            parse("toy-distinguish", {"ells": " 4x"})
+        with pytest.raises(InvalidParameterError, match="could not convert string to float"):
+            parse("prs-energy", {"beta": "warm"})
+
     def test_writes_summary_csv_manifest(self, tmp_path):
         manifest, summary, ok = bc.run("weingarten-verify", {}, 0, tmp_path)
         assert ok

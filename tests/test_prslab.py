@@ -71,6 +71,14 @@ class TestEnsembleSpec:
             hits += ov <= 50 / 2**8
         assert hits >= 95
 
+    def test_hamiltonian_scrambler_unitary_is_the_eigen_formula(self):
+        h = qcore.build_hamiltonian(4, 1.05, 0.5)
+        spec = pl.PRSEnsembleSpec(2, qcore.zero_state(4), "hamiltonian",
+                                  hamiltonian=h, multiplier=3, scrambling_time=1.5)
+        evals, evecs = h.eigensystem()
+        u = evecs @ np.diag(np.exp(-1j * evals * 4.5)) @ evecs.conj().T
+        assert np.max(np.abs(spec.scrambler_unitary().matrix - u)) < 1e-12
+
     def test_matches_apply_chain_bitwise_for_every_key(self):
         spec = haar_spec(n=6, ell=2)
         u = spec.scrambler_unitary()
@@ -181,6 +189,21 @@ class TestShockedEvolution:
             hits += ov <= 0.5
         assert hits >= 45
 
+    def test_matches_evolve_apply_pauli_chain_bitwise(self):
+        half = qcore.build_hamiltonian(3, 1.05, 0.5)
+        h = qcore.doubled_hamiltonian(half)
+        s0 = qcore.tfd_state(half, 1.0)
+        for t in range(5):
+            sched = pl.randomized_schedule(6, t, 9.0, rng.stream(12, t))
+            state, t_prev = s0, 0.0
+            for when, site, label in sched.entries:
+                state = qcore.evolve(h, when - t_prev, state)
+                state = qcore.apply_pauli(qcore.PauliTerm.single(site, label), state)
+                t_prev = when
+            state = qcore.evolve(h, sched.total_time - t_prev, state)
+            out = pl.shocked_evolution_state(h, sched, s0)
+            assert np.array_equal(out.amplitudes, state.amplitudes)
+
     def test_schedule_site_bound(self):
         h = qcore.build_hamiltonian(3, 1.0, 0.5)
         with pytest.raises(ScheduleError):
@@ -226,6 +249,24 @@ class TestStateTree:
     def test_memory_cap(self):
         with pytest.raises(ResourceLimitError):
             pl.build_state_tree(haar_spec(n=10, ell=7))
+
+    @pytest.mark.parametrize("kind", ["haar", "hamiltonian"])
+    def test_level_columns_are_the_prs_states_of_their_keys(self, kind):
+        h = qcore.build_hamiltonian(4, 1.05, 0.5)
+
+        def spec(ell):
+            if kind == "haar":
+                return pl.PRSEnsembleSpec(ell, qcore.zero_state(4), "haar", seed=13)
+            return pl.PRSEnsembleSpec(ell, qcore.zero_state(4), "hamiltonian",
+                                      hamiltonian=h, multiplier=2, scrambling_time=2.0)
+
+        tree = pl.build_state_tree(spec(3))
+        assert [level.shape for level in tree.levels] == [(16, 4**j) for j in range(4)]
+        assert not any(level.flags.writeable for level in tree.levels)
+        for j in range(1, 4):
+            for i, key in enumerate(itertools.product("IXYZ", repeat=j)):
+                state = pl.prs_state(spec(j), "".join(key))
+                assert np.max(np.abs(tree.levels[j][:, i] - state.amplitudes)) < 1e-12
 
 
 class TestMomentMC:

@@ -238,6 +238,14 @@ class TestMoments:
         with pytest.raises(ResourceLimitError):
             wg.haar_moment_exact(m, 8)
 
+    @pytest.mark.parametrize("m", [
+        wg.MomentSpec((0, 0, 0), (0, 0, 0), (1, 1, 1), (0, 0, 0)),  # no sigma allowed
+        wg.MomentSpec((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),  # E|U00|^6
+    ])
+    def test_below_the_wg_regime_rejected_for_every_pattern(self, m):
+        with pytest.raises(InvalidParameterError, match="k = 3, d = 2"):
+            wg.haar_moment_exact(m, 2)
+
 
 class TestPowerOverlap:
     def test_k1_closed_form(self):
