@@ -2,8 +2,9 @@
 
 Haar sampling, Pauli-string action, mixed-field Ising chains, exact time
 evolution by eigendecomposition, thermofield-double construction, energy
-estimation, and out-of-time-order correlators, all at desk scale (n <= 12
-qubits, dimension <= 4096).
+estimation, and out-of-time-order correlators, all at desk scale: dense
+eigensystems up to n = 12 qubits (dimension 4096), and thermofield doubles
+up to 2 x 10 qubits, which are evolved through their half chain.
 
 Conventions
 -----------
@@ -16,7 +17,15 @@ Conventions
   (s^dag @ evecs)^dag, so no conjugated d x d copy of the eigenvectors is
   built per call; nothing beyond the eigensystem itself is cached. No dense
   exp(-i*H*t) is formed: ``prslab``'s shock walks take the same eigenbasis
-  step on raw vectors and (d, k) blocks.
+  step on raw vectors and (d, k) blocks. A chain without Y terms keeps the
+  real eigenvectors ``eigh`` returns, and a real basis multiplies complex
+  amplitudes as one real product on their interleaved (re, im) columns.
+- A doubled chain H (x) I + I (x) H from ``doubled_hamiltonian`` records its
+  half chain. States on it stay flat 4^n vectors in the L (x) R layout that
+  ``tfd_state`` builds; evolution reshapes each to a (d_half, d_half) matrix M
+  and returns U M U^T with U = exp(-i*H_half*t) from the half chain's
+  eigensystem. The doubled chain's own ``eigensystem()`` is still the dense
+  one, for callers that read it.
 - OTOCs are trial-batched: the Haar states and their V-shocked copies form
   the columns of one d x 2k block, moved into the eigenbasis once, and each
   grid time costs three block products with the eigenvectors.
@@ -50,7 +59,8 @@ from .errors import (
 )
 
 NORM_ATOL = 1e-10
-MAX_QUBITS = 12
+MAX_QUBITS = 12      # dense eigensystems
+MAX_TFD_QUBITS = 20  # thermofield doubles: 4^10 amplitudes, 16 MB
 
 PAULI_LABELS = "IXYZ"
 
@@ -66,7 +76,7 @@ class Statevector:
         if amps.ndim != 1 or amps.size < 1:
             raise InvalidDimensionError("statevector must be a non-empty 1-d array")
         sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(sq - 1.0) > NORM_ATOL:
+        if not abs(sq - 1.0) <= NORM_ATOL:
             raise InvalidParameterError(f"statevector norm^2 = {sq!r}, not 1 within {NORM_ATOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -104,7 +114,7 @@ class UnitaryMatrix:
             raise InvalidDimensionError("unitary must be a square matrix")
         if m.shape[0] <= 512:
             dev = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-            if dev > NORM_ATOL:
+            if not dev <= NORM_ATOL:
                 raise InvalidParameterError(f"matrix is not unitary: max |UU^dag - I| = {dev:g}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -171,12 +181,14 @@ class LocalHamiltonian:
 
     Hermitian by construction (real coefficients); 2-site terms must act on
     contiguous sites. The eigendecomposition is computed lazily once and
-    cached on the instance.
+    cached on the instance. A chain built by ``doubled_hamiltonian`` records
+    its half chain, through which it is evolved.
     """
 
     n_qubits: int
     terms: tuple
     _eig: object = field(default=None, repr=False, compare=False)
+    _half: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_qubits = int(self.n_qubits)
@@ -219,14 +231,19 @@ class LocalHamiltonian:
         return h
 
     def eigensystem(self):
-        """(eigenvalues, eigenvectors) of the dense matrix, cached."""
+        """(eigenvalues, eigenvectors) of the dense matrix, cached.
+
+        The eigenvectors are real (float64) when no term has a Y label, as
+        ``eigh`` returns them for the real symmetric matrix, and complex
+        otherwise. A doubled chain's eigensystem is dense too; evolution does
+        not read it.
+        """
         if self._eig is None:
             if self.n_qubits > MAX_QUBITS:
                 raise ResourceLimitError(
                     f"eigendecomposition limited to {MAX_QUBITS} qubits, got {self.n_qubits}")
             evals, evecs = np.linalg.eigh(self.dense_matrix())
-            evecs = np.ascontiguousarray(evecs.astype(np.complex128))
-            self._eig = (evals, evecs)
+            self._eig = (evals, np.ascontiguousarray(evecs))
         return self._eig
 
 
@@ -442,10 +459,16 @@ def build_hamiltonian(n: int, g: float, h: float) -> LocalHamiltonian:
 
 
 def doubled_hamiltonian(h_half: LocalHamiltonian) -> LocalHamiltonian:
-    """Two commuting copies H (x) I + I (x) H on 2n sites (left block first)."""
+    """Two commuting copies H (x) I + I (x) H on 2n sites (left block first).
+
+    The result records ``h_half``, so evolving it needs only the half chain's
+    eigensystem (see ``_evolve_amplitudes``).
+    """
     n = h_half.n_qubits
     terms = tuple(h_half.terms) + tuple(t.shifted(n) for t in h_half.terms)
-    return LocalHamiltonian(2 * n, terms)
+    doubled = LocalHamiltonian(2 * n, terms)
+    doubled._half = h_half
+    return doubled
 
 
 def evolve(h: LocalHamiltonian, t: float, s: Statevector) -> Statevector:
@@ -456,15 +479,43 @@ def evolve(h: LocalHamiltonian, t: float, s: Statevector) -> Statevector:
 
 
 def _evolve_amplitudes(h: LocalHamiltonian, t: float, amps: np.ndarray) -> np.ndarray:
-    """exp(-i*H*t) on a length-d vector or a (d, k) column block, in the cached eigenbasis."""
+    """exp(-i*H*t) on a length-d vector or a (d, k) column block, in the cached eigenbasis.
+
+    A doubled chain is evolved through its half chain: each column, reshaped
+    to the (d_half, d_half) matrix M of its L (x) R layout, becomes U M U^T with
+    U = exp(-i*H_half*t). That is two left products by U, each followed by a
+    transpose of M, so no 2n-qubit eigensystem is built.
+    """
+    half = h._half
+    if half is not None:
+        d = half.dimension
+        m = amps.reshape(d, d, -1)
+        for _ in range(2):
+            m = _evolve_amplitudes(half, t, m.reshape(d, -1)).reshape(d, d, -1).transpose(1, 0, 2)
+        return m.reshape(amps.shape)
     evals, evecs = h.eigensystem()
     phases = np.exp(-1j * evals * t).reshape((-1,) + (1,) * (amps.ndim - 1))
-    return evecs @ (phases * _to_eigenbasis(evecs, amps))
+    return _basis_product(evecs, phases * _to_eigenbasis(evecs, amps))
+
+
+def _basis_product(basis: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """basis @ amps for complex amplitudes (a vector or a (d, k) block).
+
+    A real basis multiplies the amplitudes' interleaved (re, im) columns as one
+    real product, at half the cost of a complex one.
+    """
+    if np.iscomplexobj(basis):
+        return basis @ amps
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    re_im = amps.view(np.float64).reshape(amps.shape[0], -1)
+    return (basis @ re_im).view(np.complex128).reshape(amps.shape)
 
 
 def _to_eigenbasis(evecs: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """evecs^dag @ amps for a vector or a (d, k) block, without a conjugated d x d copy."""
-    return (amps.T.conj() @ evecs).conj().T
+    if np.iscomplexobj(evecs):
+        return (amps.T.conj() @ evecs).conj().T
+    return _basis_product(evecs.T, amps)
 
 
 def tfd_state(h_half: LocalHamiltonian, beta: float) -> Statevector:
@@ -474,12 +525,15 @@ def tfd_state(h_half: LocalHamiltonian, beta: float) -> Statevector:
     so the left reduced state is the Gibbs state of ``h_half`` at ``beta``.
     The left block occupies the first (most significant) n sites. Weights are
     shifted by the ground energy before exponentiation, so large beta is safe.
+    Only the half chain's eigensystem is built, so n may reach
+    MAX_TFD_QUBITS / 2 = 10, a limit on the state's memory; the doubled chain
+    evolves the state through the same half eigensystem.
     """
-    if beta < 0:
-        raise InvalidParameterError(f"beta must be >= 0, got {beta}")
-    if h_half.n_qubits > MAX_QUBITS // 2:
+    if not 0 <= beta < math.inf:
+        raise InvalidParameterError(f"beta must be finite and >= 0, got {beta}")
+    if 2 * h_half.n_qubits > MAX_TFD_QUBITS:
         raise ResourceLimitError(
-            f"tfd output lives on 2n = {2 * h_half.n_qubits} > {MAX_QUBITS} qubits")
+            f"tfd output lives on 2n = {2 * h_half.n_qubits} > {MAX_TFD_QUBITS} qubits")
     evals, evecs = h_half.eigensystem()
     w = np.exp(-beta * (evals - evals.min()) / 2.0)
     w /= np.linalg.norm(w)
@@ -568,8 +622,8 @@ def _otoc_kernel(h: LocalHamiltonian, w: PauliTerm, v: PauliTerm, states):
 
     def at(t: float) -> np.ndarray:
         phases = np.exp(-1j * evals * t)[:, None]
-        y = _apply_site_pauli(evecs @ (phases * coeffs), w.labels, w.sites[0], n)
-        y = evecs @ (phases.conj() * _to_eigenbasis(evecs, y))
+        y = _apply_site_pauli(_basis_product(evecs, phases * coeffs), w.labels, w.sites[0], n)
+        y = _basis_product(evecs, phases.conj() * _to_eigenbasis(evecs, y))
         vw = _apply_site_pauli(y[:, :k], v.labels, v.sites[0], n)
         return np.einsum("ij,ij->j", vw.conj(), y[:, k:])
 
@@ -604,6 +658,8 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
         raise InvalidParameterError(f"extra_points must be >= 0, got {extra_points}")
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < time_step < math.inf:
+        raise InvalidParameterError(f"time_step must be finite and > 0, got {time_step}")
     n = h.n_qubits
     if w is None:
         w = PauliTerm.single(0, "X")

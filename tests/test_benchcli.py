@@ -191,6 +191,10 @@ class TestCliErrors:
         ("rewrite-growth", "t_list=", "at least one value"),
         ("prs-distinguish", "copies=", "at least one value"),
         ("scrambling-time", "trials=0", "trials must be >= 1"),
+        ("scrambling-time", "time_step=0", "time_step must be finite and > 0"),
+        ("scrambling-time", "time_step=nan", "time_step must be finite and > 0"),
+        ("scrambling-time", "time_step=-1", "time_step must be finite and > 0"),
+        ("prs-energy", "beta=nan", "beta must be finite"),
         ("prs-gram", "trials=0", "trials >= 2"),
         ("toy-distinguish", "ells=4", "two distinct x"),
         ("rewrite-growth", "t_list=1", "two distinct x"),

@@ -11,6 +11,7 @@ from scramblab.errors import (
     InvalidDimensionError,
     InvalidParameterError,
     NoScramblingError,
+    ResourceLimitError,
 )
 
 
@@ -153,6 +154,12 @@ class TestTrustedUnitaries:
         with pytest.raises(InvalidParameterError):
             qcore.UnitaryMatrix(np.ones((4, 4)))
 
+    def test_nan_matrix_rejected(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(InvalidParameterError):
+            qcore.UnitaryMatrix(m)
+
     def test_haar_unitary_bits_match_ginibre_qr_formula(self):
         g = rng.stream(123)
         z = (g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))) / math.sqrt(2)
@@ -173,6 +180,10 @@ class TestTrustedUnitaries:
 
 
 class TestPrimitives:
+    def test_nan_state_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            qcore.Statevector([np.nan, 0.0])
+
     def test_apply_pauli_flips_first_qubit(self):
         s = qcore.zero_state(4)
         out = qcore.apply_pauli(qcore.PauliTerm.single(0, "X"), s)
@@ -232,6 +243,15 @@ class TestHamiltonian:
         assert doubled_chain_12.n_qubits == 12
         assert len(doubled_chain_12.terms) == 2 * len(chaotic_chain_6.terms)
 
+    def test_real_chain_has_real_eigenvectors(self):
+        h = qcore.build_hamiltonian(4, 1.05, 0.5)
+        evals, evecs = h.eigensystem()
+        assert evecs.dtype == np.float64
+        s = qcore.haar_state(16, seed=6)
+        for t in (-2.0, 0.0, 0.3, 7.5):
+            ref = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ s.amplitudes))
+            assert np.max(np.abs(qcore.evolve(h, t, s).amplitudes - ref)) < 1e-12
+
 
 class TestEvolution:
     def test_zero_time(self):
@@ -278,6 +298,52 @@ class TestEvolution:
             assert np.max(np.abs(qcore.evolve(h, t, s).amplitudes - ref)) < 1e-12
 
 
+def _dense_twin(h):
+    """The same terms as ``h`` in a chain that records no half, so it evolves densely."""
+    return qcore.LocalHamiltonian(h.n_qubits, h.terms)
+
+
+class TestFactoredDoubledEvolution:
+    @pytest.mark.parametrize("n_half", [2, 3, 4, 5])
+    def test_matches_dense_path(self, n_half):
+        hd = qcore.doubled_hamiltonian(qcore.build_hamiltonian(n_half, 1.05, 0.5))
+        dense = _dense_twin(hd)
+        d = hd.dimension
+        vec = qcore.haar_state(d, seed=n_half).amplitudes
+        block = np.stack([qcore.haar_state(d, rng.stream(n_half, j)).amplitudes
+                          for j in range(3)], axis=1)
+        for t in (-3.1, 0.0, 0.7, 40.0):
+            for amps in (vec, block):
+                got = qcore._evolve_amplitudes(hd, t, amps)
+                assert got.shape == amps.shape
+                assert np.max(np.abs(got - qcore._evolve_amplitudes(dense, t, amps))) < 1e-12
+
+    def test_complex_half_chain_matches_dense_path(self):
+        half = qcore.LocalHamiltonian(3, (qcore.PauliTerm((0, 1), "XY", 0.7),
+                                          qcore.PauliTerm((1, 2), "ZZ", 1.0),
+                                          qcore.PauliTerm.single(2, "Y", 0.4),
+                                          qcore.PauliTerm.single(0, "X", 1.1)))
+        assert np.max(np.abs(half.eigensystem()[1].imag)) > 0.1
+        hd = qcore.doubled_hamiltonian(half)
+        s = qcore.haar_state(hd.dimension, seed=8)
+        for t in (-2.0, 0.0, 5.3):
+            got = qcore.evolve(hd, t, s).amplitudes
+            ref = qcore.evolve(_dense_twin(hd), t, s).amplitudes
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+    def test_tfd_past_the_dense_limit(self):
+        half = qcore.build_hamiltonian(7, 1.05, 0.5)
+        hd = qcore.doubled_hamiltonian(half)
+        assert hd.n_qubits > qcore.MAX_QUBITS
+        tfd = qcore.tfd_state(half, 1.0)
+        before = qcore.energy_expectation(hd, tfd)
+        for t in (-1.3, 13.7):
+            out = qcore.evolve(hd, t, tfd)
+            assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-10
+            assert abs(qcore.energy_expectation(hd, out) - before) < 1e-10
+        assert hd._eig is None
+
+
 class TestThermofieldDouble:
     def test_infinite_temperature_is_maximally_entangled(self):
         h = qcore.build_hamiltonian(3, 1.05, 0.5)
@@ -306,6 +372,17 @@ class TestThermofieldDouble:
         h = qcore.build_hamiltonian(2, 1.0, 0.5)
         with pytest.raises(InvalidParameterError):
             qcore.tfd_state(h, -1.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        h = qcore.build_hamiltonian(2, 1.0, 0.5)
+        with pytest.raises(InvalidParameterError):
+            qcore.tfd_state(h, beta)
+
+    def test_half_chain_size_limit(self):
+        h = qcore.LocalHamiltonian(qcore.MAX_TFD_QUBITS // 2 + 1, ())
+        with pytest.raises(ResourceLimitError):
+            qcore.tfd_state(h, 1.0)
 
 
 class TestEnergyMeasurement:
