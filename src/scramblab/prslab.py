@@ -72,11 +72,11 @@ class ShockSchedule:
     def __post_init__(self):
         entries = tuple((float(t), int(q), str(p).upper()) for t, q, p in self.entries)
         total = float(self.total_time)
-        if total < 0:
-            raise ScheduleError(f"total time must be >= 0, got {total}")
+        if not 0 <= total < math.inf:
+            raise ScheduleError(f"total time must be finite and >= 0, got {total}")
         times = [t for t, _, _ in entries]
-        if any(t < 0 for t in times):
-            raise ScheduleError("shock times must be >= 0")
+        if not all(0 <= t < math.inf for t in times):
+            raise ScheduleError("shock times must be finite and >= 0")
         if any(q < 0 for _, q, _ in entries):
             raise ScheduleError("shock sites must be >= 0")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -93,20 +93,32 @@ class ShockSchedule:
         return len(self.entries)
 
 
+# Draws of ell sorted times before randomized_schedule gives up. At ordinary T a
+# draw fails with probability of order ell^2 * 2^-53; the cap matters only at T
+# too small for float64 to hold ell distinct positive times below it.
+_SCHEDULE_DRAWS = 100
+
+
 def randomized_schedule(n: int, ell: int, total_time: float, seed) -> ShockSchedule:
     """ell shocks at sorted uniform times in (0, T), uniform sites and labels.
 
-    ell = 0 yields the empty schedule (pure evolution for time T).
+    ell = 0 yields the empty schedule (pure evolution for time T). T must be
+    finite and > 0; a T too small to hold ell distinct positive times raises
+    ``InvalidParameterError``.
     """
     if ell < 0:
         raise InvalidParameterError(f"shock count must be >= 0, got {ell}")
-    if total_time <= 0:
-        raise InvalidParameterError(f"total time must be > 0, got {total_time}")
+    if not 0 < total_time < math.inf:
+        raise InvalidParameterError(f"total time must be finite and > 0, got {total_time}")
     g = rng.stream(seed)
-    while True:
+    for _ in range(_SCHEDULE_DRAWS):
         times = np.sort(g.random(ell) * total_time)
         if ell == 0 or (np.all(np.diff(times) > 0) and times[0] > 0):
             break
+    else:
+        raise InvalidParameterError(
+            f"no {ell} distinct positive shock times in (0, {total_time}) "
+            f"after {_SCHEDULE_DRAWS} draws")
     sites = g.integers(n, size=ell)
     labels = [SCHEDULE_LABELS[i] for i in g.integers(3, size=ell)]
     return ShockSchedule(tuple((float(t), int(q), p) for t, q, p in zip(times, sites, labels)),

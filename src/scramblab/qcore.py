@@ -61,6 +61,7 @@ from .errors import (
 NORM_ATOL = 1e-10
 MAX_QUBITS = 12      # dense eigensystems
 MAX_TFD_QUBITS = 20  # thermofield doubles: 4^10 amplitudes, 16 MB
+MAX_GRID_POINTS = 10**6  # scrambling_curve's grid; the default has 200 n points
 
 PAULI_LABELS = "IXYZ"
 
@@ -100,10 +101,10 @@ class Statevector:
 class UnitaryMatrix:
     """Dense d x d unitary, read-only after construction.
 
-    A matrix given to the constructor is copied and, for d <= 512, checked for
-    unitarity (an O(d^3) product). Unitaries the package builds itself
-    (``haar_unitary``, ``scrambler_unitary``) are unitary by construction and
-    skip the check through the private ``_trusted`` path.
+    A matrix given to the constructor is copied, checked to be finite and, for
+    d <= 512, checked for unitarity (an O(d^3) product). Unitaries the package
+    builds itself (``haar_unitary``, ``scrambler_unitary``) are unitary by
+    construction and skip the checks through the private ``_trusted`` path.
     """
 
     matrix: np.ndarray
@@ -112,6 +113,8 @@ class UnitaryMatrix:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidDimensionError("unitary must be a square matrix")
+        if not np.isfinite(m).all():
+            raise InvalidParameterError("matrix has non-finite entries")
         if m.shape[0] <= 512:
             dev = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
             if not dev <= NORM_ATOL:
@@ -158,7 +161,10 @@ class PauliTerm:
         kept.sort()
         object.__setattr__(self, "sites", tuple(q for q, _ in kept))
         object.__setattr__(self, "labels", "".join(c for _, c in kept))
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        coefficient = float(self.coefficient)
+        if not math.isfinite(coefficient):
+            raise InvalidParameterError(f"coefficient must be finite, got {coefficient}")
+        object.__setattr__(self, "coefficient", coefficient)
 
     @classmethod
     def single(cls, site: int, label: str, coefficient: float = 1.0) -> "PauliTerm":
@@ -650,7 +656,8 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
     W = X on site 0 against V = Z on site n-1. ``values[k]`` is the average
     at t = k * time_step for k = 0 .. round(t_scr / time_step) + extra_points.
     Exhausting the grid raises ``NoScramblingError`` carrying the final
-    averaged |OTOC|.
+    averaged |OTOC|; a grid of more than ``MAX_GRID_POINTS`` points raises
+    ``ResourceLimitError``.
     """
     if not 0.0 < threshold < 1.0:
         raise InvalidParameterError(f"threshold must be in (0, 1), got {threshold}")
@@ -661,6 +668,10 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
     if not 0.0 < time_step < math.inf:
         raise InvalidParameterError(f"time_step must be finite and > 0, got {time_step}")
     n = h.n_qubits
+    t_max = 50.0 * n
+    if t_max / time_step > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"a grid of step {time_step:g} up to t = {t_max:g} exceeds {MAX_GRID_POINTS} points")
     if w is None:
         w = PauliTerm.single(0, "X")
     if v is None:
@@ -672,7 +683,6 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
         return float(np.mean(np.abs(kernel(t))))
 
     values = [averaged(0.0)]
-    t_max = 50.0 * n
     steps = int(round(t_max / time_step))
     for k in range(1, steps + 1):
         values.append(averaged(k * time_step))

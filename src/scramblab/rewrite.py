@@ -63,11 +63,14 @@ class Gate:
             raise InvalidParameterError(f"qubits must be >= 0, got {qubits}")
         if (self.angle is not None) != (kind in PARAMETRIC):
             raise InvalidParameterError(f"{kind} {'requires' if kind in PARAMETRIC else 'rejects'} an angle")
+        angle = None if self.angle is None else float(self.angle)
+        if angle is not None and not math.isfinite(angle):
+            raise InvalidParameterError(f"{kind} angle must be finite, got {angle}")
         if kind == "CZ":
             qubits = tuple(sorted(qubits))  # CZ is symmetric
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "angle", None if self.angle is None else float(self.angle))
+        object.__setattr__(self, "angle", angle)
 
     def inverse(self) -> "Gate":
         if self.kind == "S":
@@ -246,30 +249,10 @@ def operator_norm_error(a: GateSequence, b: GateSequence) -> float:
 # Rewrite rules
 # ---------------------------------------------------------------------------
 
-def _is_inverse_pair(a: Gate, b: Gate) -> bool:
-    """Inverse pairs among the non-parametric kinds (rotation pairs are the
-    merge rule's job, per the fixed priority order)."""
-    if a.qubits != b.qubits:
-        return False
-    if a.kind in ("X", "Y", "Z", "H", "CZ", "CNOT"):
-        return a.kind == b.kind
-    if a.kind == "S":
-        return b.kind == "SDG"
-    if a.kind == "SDG":
-        return b.kind == "S"
-    return False
-
-
-def _is_inverse_any(a: Gate, b: Gate) -> bool:
-    """Inverse test including exact rotation pairs RZ(t)/RZ(-t)."""
-    if a.kind in PARAMETRIC:
-        return b.kind == a.kind and b.qubits == a.qubits and b.angle == -a.angle
-    return _is_inverse_pair(a, b)
-
-
 def _match_inverse_cancel(window):
+    # rotation pairs are the merge rule's job, per the fixed priority order
     a, b = window
-    if _is_inverse_pair(a, b):
+    if a.kind not in PARAMETRIC and b == a.inverse():
         return ((), 0.0)
     return None
 
@@ -343,7 +326,7 @@ def _match_pauli_commute(window):
             if sign == 1 and paulis == ((c.kind, c.qubits[0]),):
                 return ((b,), 0.0)
     # [B, P, B^-1]: the conjugated Pauli survives alone when the sign is +1.
-    if b.is_pauli and _is_inverse_any(a, c):
+    if b.is_pauli and c == a.inverse():
         res = conjugate_pauli(a.inverse(), b)
         if res is not None:
             sign, paulis = res
@@ -425,7 +408,7 @@ def _one_pass(gates, eps, steps):
 
 def _rewrite_to_fixpoint(seq: GateSequence, eps: float):
     """Greedy stack passes until one fires nothing: (surviving gate list, RewriteTrace)."""
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise InvalidParameterError(f"eps must be >= 0, got {eps}")
     gates = list(seq.gates)
     steps = []

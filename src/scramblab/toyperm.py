@@ -461,15 +461,6 @@ def _all_trees(n: int, ell: int):
     return trees
 
 
-def distinct_tree_set(n: int = 3, ell: int = 2) -> list:
-    """All sigma in S_{2^n} whose depth-ell tree has distinct nodes (n=3, ell=2),
-    as (sigma, nodes, leaves) tuples."""
-    _check_exhaustive(n, ell)
-    perms, nodes, leaves, in_s = _all_trees(n, ell)
-    rows = zip(perms[in_s].tolist(), nodes[in_s].tolist(), leaves[in_s].tolist())
-    return [(tuple(sigma), tuple(t), tuple(lv)) for sigma, t, lv in rows]
-
-
 @dataclass(frozen=True, eq=False)
 class HybridTable:
     """Exact joint law of a hybrid over (sigma, y):
@@ -483,14 +474,6 @@ class HybridTable:
         """Exact total-variation distance as one integer sum over both tables."""
         diff = self.weights * other.denominator - other.weights * self.denominator
         return Fraction(int(np.abs(diff).sum()), 2 * self.denominator * other.denominator)
-
-    def to_dict(self) -> dict:
-        """The law as {(sigma_tuple, y): Fraction} over its support."""
-        perms = list(itertools.permutations(range(self.weights.shape[1])))
-        ranks, ys = np.nonzero(self.weights)
-        counts = self.weights[ranks, ys]
-        return {(perms[r], y): Fraction(c, self.denominator)
-                for r, y, c in zip(ranks.tolist(), ys.tolist(), counts.tolist())}
 
 
 def hybrid_table(label: str, n: int = 3, ell: int = 2) -> HybridTable:
@@ -528,33 +511,6 @@ def hybrid_table(label: str, n: int = 3, ell: int = 2) -> HybridTable:
     weights = np.bincount(paths, minlength=n_perms * size).reshape(n_perms, size)
     weights.setflags(write=False)
     return HybridTable(weights, paths.size)
-
-
-def enumerate_joint_distribution(label: str, n: int = 3, ell: int = 2) -> dict:
-    """Exact joint law over (sigma, y) for hybrid C or D by full enumeration.
-
-    Keys are (sigma_tuple, y); values are exact Fractions summing to 1. The C
-    table sums over every (sigma', y, x) sampling path; the D table is uniform
-    over S x leaves.
-    """
-    if label not in ("C", "D"):
-        raise InvalidParameterError(f"enumeration supports labels C and D, got {label!r}")
-    return hybrid_table(label, n, ell).to_dict()
-
-
-def enumerate_marginal_distribution(label: str, n: int = 3, ell: int = 2) -> dict:
-    """Exact joint law over (sigma, y) for hybrids A, B, or E at (3, 2)."""
-    if label not in ("A", "B", "E"):
-        raise InvalidParameterError(f"marginal enumeration supports A, B, E, got {label!r}")
-    return hybrid_table(label, n, ell).to_dict()
-
-
-def tv_distance(p: dict, q: dict):
-    """(1/2) sum |p - q| over the union of supports (exact for Fractions)."""
-    total = 0
-    for key in set(p) | set(q):
-        total += abs(p.get(key, 0) - q.get(key, 0))
-    return total / 2
 
 
 # ---------------------------------------------------------------------------

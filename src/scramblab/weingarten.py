@@ -181,21 +181,9 @@ def character(lam, c) -> int:
 # Weingarten function
 # ---------------------------------------------------------------------------
 
-class WeingartenCache:
-    """Memo of (k, d, cycle type) -> exact Wg value."""
-
-    def __init__(self):
-        self._values = {}
-
-    def value(self, c, k: int, d: int) -> Fraction:
-        parts = _as_parts(c)
-        key = (k, d, parts)
-        if key not in self._values:
-            self._values[key] = _weingarten_fresh(parts, k, d)
-        return self._values[key]
-
-
+@lru_cache(maxsize=None)
 def _weingarten_fresh(parts: tuple, k: int, d: int) -> Fraction:
+    """The character sum for Wg; ``__wrapped__`` is the uncached computation."""
     if not 1 <= k <= MAX_WEIGHT:
         raise ResourceLimitError(f"Wg supported for 1 <= k <= {MAX_WEIGHT}, got {k}")
     if sum(parts) != k:
@@ -210,12 +198,10 @@ def _weingarten_fresh(parts: tuple, k: int, d: int) -> Fraction:
     return total / math.factorial(k) ** 2
 
 
-_CACHE = WeingartenCache()
-
-
 def weingarten(c, k: int, d: int) -> Fraction:
-    """Exact Wg(sigma, d) for sigma of cycle type ``c`` in S_k (requires d >= k)."""
-    return _CACHE.value(c, k, d)
+    """Exact Wg(sigma, d) for sigma of cycle type ``c`` in S_k (requires d >= k);
+    each (cycle type, k, d) is computed once per process."""
+    return _weingarten_fresh(_as_parts(c), k, d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ from scramblab import benchcli as bc, rewrite as rw
 from scramblab.errors import InvalidParameterError
 
 
+# Every float parameter of every experiment, set to nan, and to inf except eps
+# (an infinite rewrite budget is legal: every rotation may be dropped).
+NON_FINITE_SETTINGS = [(exp.name, key, value)
+                       for exp in bc._REGISTRY.values()
+                       for key, default in exp.params.items() if isinstance(default, float)
+                       for value in ("nan", "inf") if (key, value) != ("eps", "inf")]
+
+
 class TestRegistry:
     def test_count_is_ten(self):
         assert len(bc.list_experiments()) == 10
@@ -195,6 +203,10 @@ class TestCliErrors:
         ("scrambling-time", "time_step=nan", "time_step must be finite and > 0"),
         ("scrambling-time", "time_step=-1", "time_step must be finite and > 0"),
         ("prs-energy", "beta=nan", "beta must be finite"),
+        ("prs-energy", "T_rand=5e-324", "distinct positive shock times"),
+        ("scrambling-time", "time_step=5e-324", "exceeds"),
+        ("scrambling-time", "g=nan", "coefficient must be finite"),
+        ("rewrite-growth", "eps=nan", "eps must be >= 0"),
         ("prs-gram", "trials=0", "trials >= 2"),
         ("toy-distinguish", "ells=4", "two distinct x"),
         ("rewrite-growth", "t_list=1", "two distinct x"),
@@ -210,6 +222,29 @@ class TestCliErrors:
         src = tmp_path / "circuit.txt"
         src.write_text(rw.sequence_to_text(rw.GateSequence((rw.Gate("H", (0,)),), 1)))
         assert bc.main(["pc", "--input", str(src), "--eps", "-1"]) == 2
+
+    @pytest.mark.parametrize("text, eps", [
+        ("# qubits 1\nRZ 0 nan\nH 0\n", "0"),
+        ("# qubits 1\nRX 0 inf\nH 0\n", "0"),
+        ("# qubits 1\nRZ 0 0.5\nH 0\n", "nan"),
+    ])
+    def test_pc_non_finite_inputs_exit_2(self, tmp_path, capsys, text, eps):
+        src = tmp_path / "circuit.txt"
+        src.write_text(text)
+        assert bc.main(["pc", "--input", str(src), "--eps", eps]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and not out.out
+
+    @pytest.mark.parametrize("experiment, key, value", NON_FINITE_SETTINGS)
+    def test_non_finite_float_parameters_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                experiment, key, value):
+        monkeypatch.chdir(tmp_path)
+        assert bc.main(["run", "--experiment", experiment, "--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_settings_cover_the_float_parameters(self):
+        keys = {key for _, key, _ in NON_FINITE_SETTINGS}
+        assert keys >= {"beta", "T_rand", "g", "h", "threshold", "time_step", "eps"}
 
     def test_run_out_onto_an_existing_file_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -122,6 +122,22 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             pl.ShockSchedule(((1.0, 0, "W"),), 2.0)  # bad label
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ScheduleError):
+            pl.ShockSchedule(((bad, 0, "X"),), 2.0)
+        with pytest.raises(ScheduleError):
+            pl.ShockSchedule(((1.0, 0, "X"),), bad)
+        with pytest.raises(ScheduleError):
+            pl.ShockSchedule((), bad)
+        with pytest.raises(ScheduleError):
+            pl.fixed_spacing_schedule(2, bad)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, 0.0, 5e-324])
+    def test_randomized_schedule_needs_room_for_its_times(self, total):
+        with pytest.raises(InvalidParameterError):
+            pl.randomized_schedule(4, 4, total, 0)
+
     def test_text_roundtrip(self):
         sched = pl.randomized_schedule(8, 4, 12.5, seed=4)
         text = pl.schedule_to_text(sched)
@@ -135,6 +151,9 @@ class TestSchedules:
         ("T = 4\nschedule = 1.0:0\n", None),  # entry without a label
         ("T = 4\nschedule = 1.0:0:X,\n", None),  # empty entry
         ("T = 4\nschedule = a:0:X\n", None),  # non-numeric time
+        ("T = nan\nschedule = nan:0:X\n", "finite"),
+        ("T = inf\n", "finite"),
+        ("T = 4\nschedule = nan:0:X\n", "finite"),
     ])
     def test_malformed_text_rejected(self, text, match):
         with pytest.raises(ScheduleError, match=match):

@@ -160,6 +160,10 @@ class TestTrustedUnitaries:
         with pytest.raises(InvalidParameterError):
             qcore.UnitaryMatrix(m)
 
+    def test_nan_matrix_rejected_above_the_unitarity_check_size(self):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            qcore.UnitaryMatrix(np.full((513, 513), np.nan))
+
     def test_haar_unitary_bits_match_ginibre_qr_formula(self):
         g = rng.stream(123)
         z = (g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))) / math.sqrt(2)
@@ -238,6 +242,13 @@ class TestHamiltonian:
     def test_small_chain_rejected(self):
         with pytest.raises(InvalidParameterError):
             qcore.build_hamiltonian(1, 1.0, 0.5)
+
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        with pytest.raises(InvalidParameterError, match="coefficient must be finite"):
+            qcore.PauliTerm.single(0, "X", coefficient)
+        with pytest.raises(InvalidParameterError):
+            qcore.build_hamiltonian(4, coefficient, 0.5)
 
     def test_doubled_hamiltonian_blocks(self, chaotic_chain_6, doubled_chain_12):
         assert doubled_chain_12.n_qubits == 12
@@ -471,6 +482,11 @@ class TestScrambling:
     def test_threshold_validation(self, chaotic_chain_6):
         with pytest.raises(InvalidParameterError):
             qcore.scrambling_time(chaotic_chain_6, 1.5, seed=0)
+
+    @pytest.mark.parametrize("time_step", [5e-324, 1e-300, 300 / (qcore.MAX_GRID_POINTS + 1)])
+    def test_grid_size_capped(self, chaotic_chain_6, time_step):
+        with pytest.raises(ResourceLimitError, match="exceeds"):
+            qcore.scrambling_curve(chaotic_chain_6, 0.1, seed=0, time_step=time_step)
 
 
 class TestHaarFirstMomentInvariant:

@@ -69,6 +69,9 @@ class TestGateIR:
         "# qubits\nX 0\n",      # header without a count
         "# qubits two\nX 0\n",  # non-numeric count
         "# qubits 3 4\nX 0\n",  # trailing header field
+        "RZ 0 nan\n",            # non-finite angles
+        "RX 0 inf\n",
+        "RZ 0 -inf\n",
     ])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(InvalidParameterError):
@@ -213,6 +216,17 @@ class TestPseudoComplexity:
     def test_negative_eps_rejected(self):
         with pytest.raises(InvalidParameterError):
             rw.pseudo_complexity(rw.GateSequence((), 1), -0.1)
+        with pytest.raises(InvalidParameterError):
+            rw.pseudo_complexity(rw.GateSequence((), 1), math.nan)
+
+    def test_infinite_eps_removes_every_rotation(self):
+        seq = rw.GateSequence((rw.Gate("RZ", (0,), 0.3), rw.Gate("H", (0,))), 1)
+        assert rw.pseudo_complexity(seq, math.inf)[0] == 1
+
+    def test_merge_overflowing_to_inf_rejected(self):
+        seq = rw.GateSequence((rw.Gate("RZ", (0,), 1e308), rw.Gate("RZ", (0,), 1e308)), 1)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            rw.pseudo_complexity(seq, 0.0)
 
 
 class TestTrotterize:

@@ -245,37 +245,26 @@ class TestHybrids:
             assert p_value > 0.01
 
 
+@pytest.fixture(scope="module")
+def tables():
+    return {label: tp.hybrid_table(label) for label in tp.HYBRID_LABELS}
+
+
 class TestExactEnumeration:
-    def test_tables_sum_to_one(self):
-        c = tp.enumerate_joint_distribution("C")
-        d = tp.enumerate_joint_distribution("D")
-        assert sum(c.values()) == 1
-        assert sum(d.values()) == 1
+    def test_d_is_uniform_over_s_and_leaves(self, tables):
+        d = tables["D"]
+        in_s = tp._all_trees(3, 2)[3]
+        assert d.denominator == 4 * int(in_s.sum())
+        assert set(np.unique(d.weights).tolist()) == {0, 1}
+        # each sigma in S carries its 4 distinct leaves once; no other sigma appears
+        assert np.array_equal(d.weights.sum(axis=1), 4 * in_s)
 
-    def test_d_is_uniform_over_s_and_leaves(self):
-        d = tp.enumerate_joint_distribution("D")
-        s_size = len(tp.distinct_tree_set())
-        assert all(p == Fraction(1, s_size * 4) for p in d.values())
-
-    def test_hybrid_c_equals_hybrid_d_exactly(self):
-        c = tp.enumerate_joint_distribution("C")
-        d = tp.enumerate_joint_distribution("D")
-        assert tp.tv_distance(c, d) == 0
-
-    def test_unsupported_size(self):
-        with pytest.raises(ResourceLimitError):
-            tp.enumerate_joint_distribution("C", 4, 2)
-
-    def test_ab_and_de_closeness(self):
-        a = tp.enumerate_marginal_distribution("A")
-        b = tp.enumerate_marginal_distribution("B")
-        d = tp.enumerate_joint_distribution("D")
-        e = tp.enumerate_marginal_distribution("E")
-        s_size = len(tp.distinct_tree_set())
+    def test_ab_and_de_closeness(self, tables):
+        s_size = tables["D"].denominator >> 2
         pr_not_s = Fraction(40320 - s_size, 40320)
         bound = pr_not_s + Fraction(7, 8)
-        tv_ab = tp.tv_distance(a, b)
-        tv_de = tp.tv_distance(d, e)
+        tv_ab = tables["A"].tv(tables["B"])
+        tv_de = tables["D"].tv(tables["E"])
         assert tv_ab <= bound
         assert tv_de <= pr_not_s
         # frozen exact values from the enumeration (small-n finding: the
@@ -286,10 +275,6 @@ class TestExactEnumeration:
 
 
 class TestHybridTable:
-    @pytest.fixture(scope="class")
-    def tables(self):
-        return {label: tp.hybrid_table(label) for label in tp.HYBRID_LABELS}
-
     def test_weights_sum_to_denominator(self, tables):
         for table in tables.values():
             assert table.weights.dtype == np.int64
@@ -305,7 +290,7 @@ class TestHybridTable:
 
     def test_closed_forms(self, tables):
         size, nodes = 8, 7
-        p_s = Fraction(len(tp.distinct_tree_set()), math.factorial(size))
+        p_s = Fraction(tables["D"].denominator >> 2, math.factorial(size))
         tv_de = tables["D"].tv(tables["E"])
         tv_ab = tables["A"].tv(tables["B"])
         assert isinstance(tv_de, Fraction) and isinstance(tv_ab, Fraction)
@@ -314,8 +299,12 @@ class TestHybridTable:
         assert tables["C"].tv(tables["D"]) == 0
 
     def test_tv_is_symmetric_and_zero_on_self(self, tables):
-        assert tables["E"].tv(tables["E"]) == 0
-        assert tables["A"].tv(tables["E"]) == tables["E"].tv(tables["A"])
+        for a in tp.HYBRID_LABELS:
+            assert tables[a].tv(tables[a]) == 0
+            for b in tp.HYBRID_LABELS:
+                tv = tables[a].tv(tables[b])
+                assert 0 <= tv <= 1
+                assert tv == tables[b].tv(tables[a])
 
     def test_weights_are_read_only(self, tables):
         with pytest.raises(ValueError):
@@ -349,29 +338,32 @@ class TestHybridTable:
             tp.hybrid_table("F")
 
 
+def _law(weights) -> tp.HybridTable:
+    """A one-row table over len(weights) outcomes."""
+    return tp.HybridTable(np.array([weights], dtype=np.int64), sum(weights))
+
+
 class TestTvDistance:
     def test_self_distance(self):
-        p = {1: Fraction(1, 2), 2: Fraction(1, 2)}
-        assert tp.tv_distance(p, p) == 0
+        p = _law([1, 1])
+        assert p.tv(p) == 0
 
     def test_disjoint_supports(self):
-        p = {1: Fraction(1)}
-        q = {2: Fraction(1)}
-        assert tp.tv_distance(p, q) == 1
+        assert _law([1, 0]).tv(_law([0, 1])) == 1
 
-    @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6),
-           st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6))
+    @given(st.lists(st.integers(min_value=0, max_value=20), min_size=6, max_size=6),
+           st.lists(st.integers(min_value=0, max_value=20), min_size=6, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_metric_properties(self, ws_p, ws_q):
-        tot_p = sum(ws_p) or 1
-        tot_q = sum(ws_q) or 1
-        p = {i: Fraction(w, tot_p) for i, w in enumerate(ws_p) if w}
-        q = {i: Fraction(w, tot_q) for i, w in enumerate(ws_q) if w}
-        if not p or not q:
+        if not sum(ws_p) or not sum(ws_q):
             return
-        tv = tp.tv_distance(p, q)
+        p, q = _law(ws_p), _law(ws_q)
+        tv = p.tv(q)
         assert 0 <= tv <= 1
-        assert tv == tp.tv_distance(q, p)
+        assert tv == q.tv(p)
+        # the definition, (1/2) sum |p - q| in exact rationals
+        assert tv == sum(abs(Fraction(a, sum(ws_p)) - Fraction(b, sum(ws_q)))
+                         for a, b in zip(ws_p, ws_q)) / 2
 
 
 class TestDistinguishers:
