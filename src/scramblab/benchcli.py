@@ -279,11 +279,8 @@ def _prs_vs_haar_pair(n, ell):
         spec = prslab.PRSEnsembleSpec(ell, qcore.zero_state(n), "haar",
                                       seed=int(g.integers(2**62)))
         sampler = lambda gg: prslab.prs_state(spec, prslab.random_shock_key(ell, gg))
-        desc_a = prslab.EnsembleDescription("shock", sampler, reference_sampler=sampler)
-        desc_b = prslab.EnsembleDescription(
-            "haar", lambda gg: qcore.haar_state(d, gg),
-            reference_sampler=lambda gg: qcore.haar_state(d, gg))
-        return desc_a, desc_b
+        return (prslab.EnsembleDescription("shock", sampler),
+                prslab.EnsembleDescription("haar", lambda gg: qcore.haar_state(d, gg)))
 
     return make_pair
 
@@ -359,9 +356,9 @@ def _prs_energy(params, seed):
             "exact_energy": [v.exact_energy for v in base_res.variants],
             "estimate": [v.estimate for v in base_res.variants],
             "std_error": [v.std_error for v in base_res.variants],
-            "resolved_at_base_budget": base_res.verdicts[(0, 1)].resolved,
-            "separation": base_res.verdicts[(0, 1)].separation,
-            "combined_se": base_res.verdicts[(0, 1)].combined_se,
+            "resolved_at_base_budget": base_res.verdict.resolved,
+            "separation": base_res.verdict.separation,
+            "combined_se": base_res.verdict.combined_se,
         }
         if expect_resolved is not False:
             entry["resolution_budget"] = budget
@@ -567,14 +564,14 @@ def run(experiment: str, raw_params: dict, seed: int, out_dir):
             f"unknown experiment {experiment!r}; registered: {sorted(_REGISTRY)}")
     exp = _REGISTRY[experiment]
     params = _parse_params(exp, raw_params)
+    start = time.monotonic()
+    summary, files, checks = exp.fn(params, seed)
+    duration = time.monotonic() - start
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidParameterError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    start = time.monotonic()
-    summary, files, checks = exp.fn(params, seed)
-    duration = time.monotonic() - start
     summary_obj = {"experiment": experiment, "seed": seed, "params": params,
                    "checks": {name: ok for name, ok in checks}, **summary}
     _write_output(out / "summary.json", dump_json(summary_obj))

@@ -14,7 +14,8 @@ attacks, with the randomized schedule as the mitigation variant.
 Also here: the 4-ary state tree and its Gram statistics, the keyed-phase-state
 baseline ensemble, Monte Carlo power-overlap moments (cross-checked against
 ``weingarten.power_overlap_exact``), a copy-budgeted distinguisher harness
-with swap-test / reference-overlap / energy strategies, and plain-text
+with swap-test / reference-overlap / calibrated-energy strategies, the
+two-variant energy-measurement attack, and plain-text
 round-tripping of ensemble and schedule configurations.
 
 The phase-state key function is a 64-bit avalanche mixer reduced to one bit:
@@ -125,11 +126,11 @@ def randomized_schedule(n: int, ell: int, total_time: float, seed) -> ShockSched
                          total_time)
 
 
-def fixed_spacing_schedule(ell: int, spacing: float, *, site: int = 0, label: str = "X") -> ShockSchedule:
-    """Shocks every ``spacing`` time units on one site: times i*spacing, T = ell*spacing."""
+def fixed_spacing_schedule(ell: int, spacing: float) -> ShockSchedule:
+    """X shocks on site 0 every ``spacing`` time units: times i*spacing, T = ell*spacing."""
     if ell < 0 or spacing <= 0:
         raise InvalidParameterError("need ell >= 0 and spacing > 0")
-    entries = tuple((i * spacing, site, label) for i in range(1, ell + 1))
+    entries = tuple((i * spacing, 0, "X") for i in range(1, ell + 1))
     return ShockSchedule(entries, ell * spacing)
 
 
@@ -203,6 +204,9 @@ class PRSEnsembleSpec:
                     "hamiltonian scrambler requires hamiltonian, multiplier, scrambling_time")
             if self.multiplier < 2:
                 raise InvalidParameterError(f"multiplier must be >= 2, got {self.multiplier}")
+            if not math.isfinite(self.scrambling_time):
+                raise InvalidParameterError(
+                    f"scrambling time must be finite, got {self.scrambling_time}")
             if self.hamiltonian.dimension != self.initial_state.dimension:
                 raise DimensionMismatchError("hamiltonian and initial state dimensions differ")
         else:
@@ -467,28 +471,23 @@ class CopyBudget:
 
 @dataclass(frozen=True)
 class EnsembleDescription:
-    """Public face of an ensemble: a secret sampler plus what an attacker may
-    legitimately use (the construction, not the key)."""
+    """Public face of an ensemble: its name and its sampler of fresh keyed
+    states. The construction is public, so an attacker may draw from it too."""
 
     name: str
-    sample: object                 # callable(g) -> Statevector
-    reference_sampler: object = None   # callable(g) -> Statevector
-    hamiltonian: qcore.LocalHamiltonian = None
+    sample: object  # callable(g) -> Statevector
 
 
-def strategy_swap_test(budget: CopyBudget, desc_a, desc_b, g) -> bool:
+def strategy_swap_test(budget: CopyBudget, desc_a, g) -> bool:
     """Pairwise swap tests between copies; guess 'b' on any outcome 1."""
     outcomes = [budget.swap_test_pair() for _ in range(budget.copies // 2)]
     return not any(outcomes)
 
 
-def strategy_reference_overlap(budget: CopyBudget, desc_a, desc_b, g) -> bool:
-    """Swap-test each copy against a fresh public reference from ensemble a;
+def strategy_reference_overlap(budget: CopyBudget, desc_a, g) -> bool:
+    """Swap-test each copy against a fresh public reference ``desc_a.sample(g)``;
     guess 'a' only if every test accepts."""
-    if desc_a.reference_sampler is None:
-        raise InvalidParameterError(f"ensemble {desc_a.name!r} has no reference sampler")
-    outcomes = [budget.swap_test_with(desc_a.reference_sampler(g))
-                for _ in range(budget.copies)]
+    outcomes = [budget.swap_test_with(desc_a.sample(g)) for _ in range(budget.copies)]
     return sum(outcomes) == 0
 
 
@@ -500,7 +499,7 @@ def make_energy_strategy(term: qcore.PauliTerm, expected: float):
         raise InvalidParameterError("calibrated expectation must be nonzero")
     sign = 1.0 if expected > 0 else -1.0
 
-    def strategy(budget: CopyBudget, desc_a, desc_b, g) -> bool:
+    def strategy(budget: CopyBudget, desc_a, g) -> bool:
         outcomes = [budget.measure_pauli(term) for _ in range(budget.copies)]
         return sign * float(np.mean(outcomes)) > abs(expected) / 2.0
 
@@ -513,16 +512,15 @@ DISTINGUISHER_STRATEGIES = {
 }
 
 
-def calibrate_energy_strategy(desc: EnsembleDescription, seed, calibration_draws: int = 32):
-    """Pick the Pauli term of desc.hamiltonian with the largest mean |<P>|
-    over public calibration draws of the construction; classical side
-    computation, no copy budget involved."""
-    if desc.hamiltonian is None:
-        raise InvalidParameterError(f"ensemble {desc.name!r} carries no hamiltonian")
+def calibrate_energy_strategy(desc: EnsembleDescription, h: qcore.LocalHamiltonian, seed,
+                              calibration_draws: int = 32):
+    """(strategy, term, mean): the Pauli term of ``h`` with the largest mean |<P>|
+    over public calibration draws of ``desc``, and the ``make_energy_strategy``
+    built on it; classical side computation, no copy budget involved."""
     g = rng.stream(seed)
     states = [desc.sample(g) for _ in range(calibration_draws)]
     best_term, best_mu = None, 0.0
-    for term in desc.hamiltonian.terms:
+    for term in h.terms:
         mu = float(np.mean([qcore.pauli_expectation(term, s) for s in states]))
         if abs(mu) > abs(best_mu):
             best_term, best_mu = term, mu
@@ -555,20 +553,16 @@ def copy_limited_distinguisher(make_pair, copies: int, strategy, trials: int, se
     ensemble descriptions, the coin picks one, the strategy gets exactly
     ``copies`` simulated copies of one secret draw and guesses which ensemble.
 
-    ``strategy`` is a callable, a name in DISTINGUISHER_STRATEGIES, or
-    "energy" (which calibrates once against ensemble a's public construction
-    before the trials start). Reports the bias 2 * success_rate - 1.
+    ``strategy`` is a name in DISTINGUISHER_STRATEGIES or a callable
+    ``(budget, desc_a, g) -> guess_a``, such as the one
+    ``calibrate_energy_strategy`` returns. Reports the bias 2 * success_rate - 1.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if strategy == "energy":
-        desc_a0, _ = make_pair(rng.stream(seed, 2**31))
-        strategy, _, _ = calibrate_energy_strategy(desc_a0, rng.stream(seed, 2**31 + 1))
-    elif isinstance(strategy, str):
+    if isinstance(strategy, str):
         if strategy not in DISTINGUISHER_STRATEGIES:
             raise KeyError(
-                f"unknown strategy {strategy!r}; registered: "
-                f"{sorted(DISTINGUISHER_STRATEGIES) + ['energy']}")
+                f"unknown strategy {strategy!r}; registered: {sorted(DISTINGUISHER_STRATEGIES)}")
         strategy = DISTINGUISHER_STRATEGIES[strategy]
     successes = 0
     max_used = 0
@@ -579,7 +573,7 @@ def copy_limited_distinguisher(make_pair, copies: int, strategy, trials: int, se
         pick_a = bool(g.integers(2))
         hidden = (desc_a if pick_a else desc_b).sample(g)
         budget = CopyBudget(hidden, copies, g)
-        guess_a = bool(strategy(budget, desc_a, desc_b, g))
+        guess_a = bool(strategy(budget, desc_a, g))
         correct = guess_a == pick_a
         successes += correct
         max_used = max(max_used, budget.used)
@@ -589,7 +583,7 @@ def copy_limited_distinguisher(make_pair, copies: int, strategy, trials: int, se
 
 
 # ---------------------------------------------------------------------------
-# Energy-measurement attack experiment
+# Energy-measurement attack
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -610,39 +604,30 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class EnergyAttackResult:
-    variants: tuple
-    verdicts: dict  # (i, j) -> PairVerdict
+    variants: tuple  # the pair's two VariantEnergy values
+    verdict: PairVerdict
 
 
-def energy_attack_experiment(h: qcore.LocalHamiltonian, variants, shots_per_copy: int,
-                             copies: int, seed, *, initial: qcore.Statevector) -> EnergyAttackResult:
-    """Term-by-term energy estimation of each variant's state under a budget
-    of copies * shots_per_copy single-term measurements (round-robin over the
-    terms). A pair is resolved when the estimates differ by more than 3
-    combined standard errors.
-    """
-    if copies < 1 or shots_per_copy < 1:
-        raise InvalidParameterError("need copies >= 1 and shots_per_copy >= 1")
-    return _energy_attack(h, _prepared_variants(h, variants, initial),
-                          copies * shots_per_copy, seed)
-
-
-def energy_resolution_budget(h: qcore.LocalHamiltonian, variants, shots_per_copy: int,
+def energy_resolution_budget(h: qcore.LocalHamiltonian, pair, shots_per_copy: int,
                              copies: int, max_budget: int, seed, *,
                              initial: qcore.Statevector) -> tuple:
-    """(result at copies * shots_per_copy, the smallest doubled budget up to
-    ``max_budget`` that resolves the pair (0, 1), or None).
+    """Energy-measurement attack on a pair of schedules: (result at the base
+    budget copies * shots_per_copy, the smallest doubled budget up to
+    ``max_budget`` that resolves the pair, or None).
 
-    Each step equals ``energy_attack_experiment`` at its budget and restarts
-    from ``seed`` (a Generator is copied, not advanced); each variant's state,
-    term expectations and exact energy are computed once for all steps.
+    At each budget, each variant's state is measured term by term, the budget
+    of single-term measurements spread round-robin over the terms; the pair is
+    resolved when the estimates differ by more than 3 combined standard errors.
+    ``max_budget = 0`` runs the base budget alone. Each budget restarts from
+    ``seed`` (a Generator is copied, not advanced); each variant's state, term
+    expectations and exact energy are computed once for all budgets.
     """
-    if copies < 1 or shots_per_copy < 1 or len(variants) < 2:
+    if copies < 1 or shots_per_copy < 1 or len(pair) != 2:
         raise InvalidParameterError("need copies >= 1, shots_per_copy >= 1 and two variants")
-    prepared = _prepared_variants(h, variants, initial)
+    prepared = _prepared_variants(h, pair, initial)
     budget = copies * shots_per_copy
     base = res = _energy_attack(h, prepared, budget, copy.deepcopy(seed))
-    while not res.verdicts[(0, 1)].resolved and budget <= max_budget:
+    while not res.verdict.resolved and budget <= max_budget:
         budget *= 2
         if budget <= max_budget:
             res = _energy_attack(h, prepared, budget, copy.deepcopy(seed))
@@ -666,13 +651,10 @@ def _energy_attack(h, prepared, budget: int, seed) -> EnergyAttackResult:
     for idx, (sched, expectations, exact) in enumerate(prepared):
         est, se = qcore._term_by_term_estimate(h, expectations, shots, rng.stream(seed, idx))
         results.append(VariantEnergy(sched, exact, est, se, budget))
-    verdicts = {}
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            sep = abs(results[i].estimate - results[j].estimate)
-            comb = math.hypot(results[i].std_error, results[j].std_error)
-            verdicts[(i, j)] = PairVerdict(sep > 3 * comb, sep, comb)
-    return EnergyAttackResult(tuple(results), verdicts)
+    a, b = results
+    sep = abs(a.estimate - b.estimate)
+    comb = math.hypot(a.std_error, b.std_error)
+    return EnergyAttackResult((a, b), PairVerdict(sep > 3 * comb, sep, comb))
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +665,7 @@ def _energy_attack(h, prepared, budget: int, seed) -> EnergyAttackResult:
 class EnsembleConfig:
     """Generating parameters behind a PRSEnsembleSpec, round-trippable as text.
 
-    Documented keys: scrambler (haar|hamiltonian), n, l, m, beta, T, seed,
+    Documented keys: scrambler (haar|hamiltonian), n, l, m, beta, seed,
     plus g, h (chain couplings), t_scr, initial (zeros|tfd). For initial=tfd,
     ``n`` is the half-chain size and the ensemble lives on 2n qubits.
     """
@@ -694,14 +676,13 @@ class EnsembleConfig:
     seed: int
     m: int = None
     beta: float = None
-    T: float = None
     g: float = 1.05
     h: float = 0.5
     t_scr: float = None
     initial: str = "zeros"
 
 
-_CONFIG_FIELDS = ("scrambler", "n", "l", "seed", "m", "beta", "T", "g", "h", "t_scr", "initial")
+_CONFIG_FIELDS = ("scrambler", "n", "l", "seed", "m", "beta", "g", "h", "t_scr", "initial")
 _REQUIRED_CONFIG_FIELDS = ("scrambler", "n", "l", "seed")
 
 
@@ -731,7 +712,7 @@ def ensemble_config_from_text(text: str) -> EnsembleConfig:
     for name in ("scrambler", "initial"):
         if name in keys:
             kwargs[name] = keys[name]
-    for names, parse in ((("n", "l", "seed", "m"), int), (("beta", "T", "g", "h", "t_scr"), float)):
+    for names, parse in ((("n", "l", "seed", "m"), int), (("beta", "g", "h", "t_scr"), float)):
         for name in names:
             if name in keys:
                 try:

@@ -210,6 +210,7 @@ class TestCliErrors:
         ("prs-gram", "trials=0", "trials >= 2"),
         ("toy-distinguish", "ells=4", "two distinct x"),
         ("rewrite-growth", "t_list=1", "two distinct x"),
+        ("prs-distinguish", "strategies=energy", "unknown strategy 'energy'"),
     ])
     def test_degenerate_sizes_exit_2(self, tmp_path, monkeypatch, capsys,
                                      experiment, setting, message):
@@ -217,6 +218,7 @@ class TestCliErrors:
         assert bc.main(["run", "--experiment", experiment, "--set", setting]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "results").exists()
 
     def test_pc_negative_eps_exits_2(self, tmp_path):
         src = tmp_path / "circuit.txt"
@@ -241,6 +243,7 @@ class TestCliErrors:
         monkeypatch.chdir(tmp_path)
         assert bc.main(["run", "--experiment", experiment, "--set", f"{key}={value}"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "results").exists()
 
     def test_non_finite_settings_cover_the_float_parameters(self):
         keys = {key for _, key, _ in NON_FINITE_SETTINGS}

@@ -173,7 +173,7 @@ words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10)
 maybe_float = st.none() | st.floats(allow_nan=False, allow_infinity=False, width=64)
 configs = st.builds(pl.EnsembleConfig, scrambler=words, n=st.integers(-5, 50),
                     l=st.integers(-5, 50), seed=st.integers(-2**63, 2**63),
-                    m=st.none() | st.integers(0, 9), beta=maybe_float, T=maybe_float,
+                    m=st.none() | st.integers(0, 9), beta=maybe_float,
                     g=st.floats(allow_nan=False, allow_infinity=False), h=st.floats(-3, 3),
                     t_scr=maybe_float, initial=words)
 

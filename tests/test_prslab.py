@@ -49,6 +49,19 @@ class TestEnsembleSpec:
             pl.PRSEnsembleSpec(2, qcore.zero_state(3), "hamiltonian",
                                hamiltonian=h, multiplier=1, scrambling_time=3.0)
 
+    @pytest.mark.parametrize("t_scr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scrambling_time(self, t_scr):
+        h = qcore.build_hamiltonian(3, 1.05, 0.5)
+        with pytest.raises(InvalidParameterError, match="scrambling time"):
+            pl.PRSEnsembleSpec(2, qcore.zero_state(3), "hamiltonian",
+                               hamiltonian=h, multiplier=2, scrambling_time=t_scr)
+
+    def test_non_finite_scrambling_time_from_config_text(self):
+        cfg = pl.ensemble_config_from_text(
+            "scrambler = hamiltonian\nn = 3\nl = 1\nseed = 0\nt_scr = nan\n")
+        with pytest.raises(InvalidParameterError, match="scrambling time"):
+            pl.build_ensemble_spec(cfg)
+
     def test_hamiltonian_backed_state(self):
         h = qcore.build_hamiltonian(3, 1.05, 0.5)
         spec = pl.PRSEnsembleSpec(2, qcore.zero_state(3), "hamiltonian",
@@ -359,8 +372,7 @@ class TestCopyBudget:
 class TestDistinguisher:
     def test_identical_ensembles_no_bias(self):
         d = 32
-        desc = pl.EnsembleDescription("haar", lambda g: qcore.haar_state(d, g),
-                                      reference_sampler=lambda g: qcore.haar_state(d, g))
+        desc = pl.EnsembleDescription("haar", lambda g: qcore.haar_state(d, g))
         est = pl.copy_limited_distinguisher(lambda g: (desc, desc), 2,
                                             "overlap-with-reference", 400, seed=19)
         se = 1 / math.sqrt(400)
@@ -383,6 +395,25 @@ class TestDistinguisher:
         assert len(est.trial_rows) == 25
         assert all(row[0] in ("shock", "haar") for row in est.trial_rows)
 
+    def test_references_come_from_ensemble_a(self):
+        # overlap-with-reference draws each copy's public reference from desc_a.sample
+        d, copies, trials = 8, 3, 20
+        calls = {"a": 0, "b": 0}
+
+        def counting(name):
+            def sample(g):
+                calls[name] += 1
+                return qcore.haar_state(d, g)
+            return sample
+
+        pair = (pl.EnsembleDescription("a", counting("a")),
+                pl.EnsembleDescription("b", counting("b")))
+        est = pl.copy_limited_distinguisher(lambda g: pair, copies, "overlap-with-reference",
+                                            trials, seed=8)
+        hidden_a = sum(row[0] == "a" for row in est.trial_rows)
+        assert 0 < hidden_a < trials
+        assert calls == {"a": hidden_a + copies * trials, "b": trials - hidden_a}
+
     def test_different_evolution_lengths_mutually_indistinguishable(self):
         # two shock ensembles whose scheduled evolution lengths differ are as
         # hard to tell apart for these strategies as either is from random
@@ -394,8 +425,7 @@ class TestDistinguisher:
             spec3 = pl.PRSEnsembleSpec(3, qcore.zero_state(n), "haar", seed=seed_u)
             samp2 = lambda gg: pl.prs_state(spec2, pl.random_shock_key(2, gg))
             samp3 = lambda gg: pl.prs_state(spec3, pl.random_shock_key(3, gg))
-            return (pl.EnsembleDescription("short", samp2, reference_sampler=samp2),
-                    pl.EnsembleDescription("long", samp3, reference_sampler=samp3))
+            return pl.EnsembleDescription("short", samp2), pl.EnsembleDescription("long", samp3)
 
         for strategy in ("swap-test", "overlap-with-reference"):
             est = pl.copy_limited_distinguisher(make_pair, 2, strategy, 300, seed=60)
@@ -409,9 +439,8 @@ def _shock_vs_haar_pair(n=6, ell=2):
         spec = pl.PRSEnsembleSpec(ell, qcore.zero_state(n), "haar",
                                   seed=int(g.integers(2**62)))
         sampler = lambda gg: pl.prs_state(spec, pl.random_shock_key(ell, gg))
-        return (pl.EnsembleDescription("shock", sampler, reference_sampler=sampler),
-                pl.EnsembleDescription("haar", lambda gg: qcore.haar_state(d, gg),
-                                       reference_sampler=lambda gg: qcore.haar_state(d, gg)))
+        return (pl.EnsembleDescription("shock", sampler),
+                pl.EnsembleDescription("haar", lambda gg: qcore.haar_state(d, gg)))
 
     return make_pair
 
@@ -419,9 +448,9 @@ def _shock_vs_haar_pair(n=6, ell=2):
 class TestEnergyAttack:
     def test_identical_schedules_unresolved(self, doubled_chain_12, tfd_beta1):
         sched = pl.fixed_spacing_schedule(2, 9.0)
-        res = pl.energy_attack_experiment(doubled_chain_12, [sched, sched], 50, 4, seed=22,
-                                          initial=tfd_beta1)
-        assert not res.verdicts[(0, 1)].resolved
+        res, _ = pl.energy_resolution_budget(doubled_chain_12, [sched, sched], 50, 4, 0,
+                                             seed=22, initial=tfd_beta1)
+        assert not res.verdict.resolved
         assert res.variants[0].exact_energy == res.variants[1].exact_energy
 
     def test_energy_strategy_bias_at_one_copy(self, doubled_chain_12, tfd_beta1):
@@ -433,9 +462,10 @@ class TestEnergyAttack:
             sched = pl.randomized_schedule(12, 2, 20.0, g)
             return pl.shocked_evolution_state(hd, sched, tfd)
 
-        desc_a = pl.EnsembleDescription("tfd-shock", shock_sample, hamiltonian=hd)
+        desc_a = pl.EnsembleDescription("tfd-shock", shock_sample)
         desc_b = pl.EnsembleDescription("haar", lambda g: qcore.haar_state(4096, g))
-        strategy, term, mu = pl.calibrate_energy_strategy(desc_a, seed=9, calibration_draws=64)
+        strategy, term, mu = pl.calibrate_energy_strategy(desc_a, hd, seed=9,
+                                                          calibration_draws=64)
         assert abs(mu) >= 0.4
         est = pl.copy_limited_distinguisher(lambda g: (desc_a, desc_b), 1, strategy,
                                             300, seed=123)
@@ -443,9 +473,9 @@ class TestEnergyAttack:
 
     def test_budget_accounting(self, doubled_chain_12, tfd_beta1):
         sched = pl.randomized_schedule(12, 3, 30.0, seed=23)
-        res = pl.energy_attack_experiment(doubled_chain_12, [sched], 100, 4, seed=24,
-                                          initial=tfd_beta1)
-        assert res.variants[0].measurements == 400
+        res, _ = pl.energy_resolution_budget(doubled_chain_12, [sched, sched], 100, 4, 0,
+                                             seed=24, initial=tfd_beta1)
+        assert [v.measurements for v in res.variants] == [400, 400]
 
     def test_round_robin_budget_matches_fixed_shots_per_term(self):
         half = qcore.build_hamiltonian(3, 1.05, 0.5)
@@ -453,12 +483,13 @@ class TestEnergyAttack:
         tfd = qcore.tfd_state(half, 1.0)
         sched = pl.fixed_spacing_schedule(2, 3.0)
         k = 7
-        res = pl.energy_attack_experiment(hd, [sched], k * len(hd.terms), 1, seed=31,
-                                          initial=tfd)
+        res, _ = pl.energy_resolution_budget(hd, [sched, sched], k * len(hd.terms), 1, 0,
+                                             seed=31, initial=tfd)
         state = pl.shocked_evolution_state(hd, sched, tfd)
-        est = qcore.sample_energy_measurement(hd, state, k, rng.stream(31, 0))
-        assert res.variants[0].estimate == est.estimate
-        assert res.variants[0].std_error == est.std_error
+        for idx, v in enumerate(res.variants):
+            est = qcore.sample_energy_measurement(hd, state, k, rng.stream(31, idx))
+            assert v.estimate == est.estimate
+            assert v.std_error == est.std_error
 
     def test_resolution_budget_steps_equal_single_experiments(self):
         half = qcore.build_hamiltonian(3, 1.05, 0.5)
@@ -471,18 +502,20 @@ class TestEnergyAttack:
         steps = {}
         b = 10
         while b <= 1 << 16:
-            steps[b] = pl.energy_attack_experiment(hd, pair, b // 2, 2, rng.stream(32),
-                                                   initial=tfd)
+            # max_budget = 0: the single run at budget b
+            steps[b] = pl.energy_resolution_budget(hd, pair, b // 2, 2, 0, rng.stream(32),
+                                                   initial=tfd)[0]
             b *= 2
         assert base == steps[10]
-        resolving = [b for b, r in steps.items() if r.verdicts[(0, 1)].resolved]
+        resolving = [b for b, r in steps.items() if r.verdict.resolved]
         assert budget == min(resolving)
         assert pl.energy_resolution_budget(hd, pair, 5, 2, 5, 32, initial=tfd)[1] is None
-        with pytest.raises(InvalidParameterError):
-            pl.energy_resolution_budget(hd, pair[:1], 5, 2, 1 << 16, 32, initial=tfd)
+        for wrong in (pair[:1], pair + pair[:1]):
+            with pytest.raises(InvalidParameterError):
+                pl.energy_resolution_budget(hd, wrong, 5, 2, 1 << 16, 32, initial=tfd)
 
     def test_energy_strategy_registered_by_name(self):
-        # the "energy" name self-calibrates against ensemble a before trials
+        # calibrated on the stream the former "energy" strategy name used
         half = qcore.build_hamiltonian(3, 1.05, 0.5)
         hd = qcore.doubled_hamiltonian(half)
         tfd = qcore.tfd_state(half, 1.0)
@@ -490,9 +523,10 @@ class TestEnergyAttack:
         def shock_sample(g):
             return pl.shocked_evolution_state(hd, pl.randomized_schedule(6, 1, 8.0, g), tfd)
 
-        desc_a = pl.EnsembleDescription("tfd-shock", shock_sample, hamiltonian=hd)
+        desc_a = pl.EnsembleDescription("tfd-shock", shock_sample)
         desc_b = pl.EnsembleDescription("haar", lambda g: qcore.haar_state(64, g))
-        est = pl.copy_limited_distinguisher(lambda g: (desc_a, desc_b), 1, "energy",
+        strategy, _, _ = pl.calibrate_energy_strategy(desc_a, hd, rng.stream(55, 2**31 + 1))
+        est = pl.copy_limited_distinguisher(lambda g: (desc_a, desc_b), 1, strategy,
                                             120, seed=55)
         assert est.bias > 0.1
 
