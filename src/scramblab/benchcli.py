@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, prslab, qcore, rewrite, rng, stats, toyperm, weingarten
-from .errors import InvalidParameterError, ScramblabError
+from .errors import InvalidParameterError, ScramblabError, UnknownNameError
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -48,29 +48,17 @@ def fmt_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, Fraction):
-        return fmt_fraction(obj)
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def dump_json(obj) -> str:
-    """JSON with floats at 17 significant digits, keys sorted."""
+    """JSON with floats (numpy's too) at 17 significant digits, rationals as
+    "p/q", and keys turned to strings and sorted."""
 
     def emit(o, indent):
         pad = "  " * indent
         if isinstance(o, dict):
             if not o:
                 return "{}"
-            items = [f'{pad}  "{k}": {emit(o[k], indent + 1)}' for k in sorted(o)]
+            keyed = {str(k): v for k, v in o.items()}
+            items = [f'{pad}  "{k}": {emit(keyed[k], indent + 1)}' for k in sorted(keyed)]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
         if isinstance(o, (list, tuple)):
             if not o:
@@ -81,13 +69,15 @@ def dump_json(obj) -> str:
             return "true" if o else "false"
         if o is None:
             return "null"
-        if isinstance(o, float):
+        if isinstance(o, Fraction):
+            return json.dumps(fmt_fraction(o))
+        if isinstance(o, (float, np.floating)):
             return fmt17(o)
-        if isinstance(o, int):
-            return str(o)
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
         return json.dumps(o)
 
-    return emit(_to_jsonable(obj), 0) + "\n"
+    return emit(obj, 0) + "\n"
 
 
 def _csv_text(header, rows) -> str:
@@ -560,7 +550,7 @@ class RunManifest:
 def run(experiment: str, raw_params: dict, seed: int, out_dir):
     """Execute a registered experiment; returns (manifest, summary, all_checks_pass)."""
     if experiment not in _REGISTRY:
-        raise KeyError(
+        raise UnknownNameError(
             f"unknown experiment {experiment!r}; registered: {sorted(_REGISTRY)}")
     exp = _REGISTRY[experiment]
     params = _parse_params(exp, raw_params)
@@ -635,13 +625,14 @@ def _run(args) -> int:
 
 
 def exit_2_on_error(entry_point):
-    """Wrap a command-line ``main``: a package error or an unknown experiment name
-    prints one ``error: ...`` line to stderr and returns exit code 2, not a traceback."""
+    """Wrap a command-line ``main``: a package error (an unknown experiment or
+    strategy name among them) prints one ``error: ...`` line to stderr and returns
+    exit code 2, not a traceback. Any other exception propagates."""
     @functools.wraps(entry_point)
     def guarded(*args, **kwargs) -> int:
         try:
             return entry_point(*args, **kwargs)
-        except (ScramblabError, KeyError) as exc:
+        except ScramblabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     return guarded

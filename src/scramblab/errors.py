@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every package error derives from ``ScramblabError`` and from the builtin
-exception it refines (``ValueError`` or ``RuntimeError``), so callers may
-catch either.
+exception it refines (``ValueError``, ``RuntimeError`` or ``KeyError``), so
+callers may catch either.
 """
 
 
@@ -20,6 +20,13 @@ class DimensionMismatchError(ScramblabError, ValueError):
 
 class InvalidParameterError(ScramblabError, ValueError):
     """A scalar parameter violates an operation's precondition."""
+
+
+class UnknownNameError(ScramblabError, KeyError):
+    """A name (experiment, strategy) is not registered; ``str`` is the plain message,
+    not the quoted repr that ``KeyError`` prints."""
+
+    __str__ = Exception.__str__
 
 
 class ResourceLimitError(ScramblabError, RuntimeError):

@@ -12,11 +12,12 @@ realizes the perturbed-evolution states used by the energy-measurement
 attacks, with the randomized schedule as the mitigation variant.
 
 Also here: the 4-ary state tree and its Gram statistics, the keyed-phase-state
-baseline ensemble, Monte Carlo power-overlap moments (cross-checked against
-``weingarten.power_overlap_exact``), a copy-budgeted distinguisher harness
-with swap-test / reference-overlap / calibrated-energy strategies, the
-two-variant energy-measurement attack, and plain-text
-round-tripping of ensemble and schedule configurations.
+baseline ensemble, Monte Carlo power-overlap moments (a ``stats.MCEstimate``,
+cross-checked against ``weingarten.power_overlap_exact``), a copy-budgeted
+distinguisher harness with swap-test / reference-overlap / calibrated-energy
+strategies, the two-variant energy-measurement attack, and plain-text
+round-tripping of ensemble and schedule configurations (the ensemble keys are
+``EnsembleConfig``'s fields).
 
 The phase-state key function is a 64-bit avalanche mixer reduced to one bit:
 a deterministic fixture, not a cryptographic primitive, and no security is
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .errors import (
     ResourceLimitError,
     ScheduleError,
     ShockKeyError,
+    UnknownNameError,
 )
 
 SHOCK_LABELS = "IXYZ"
@@ -46,6 +48,8 @@ SCHEDULE_LABELS = "XYZ"
 
 
 def random_shock_key(ell: int, seed) -> str:
+    if ell < 0:
+        raise ShockKeyError(f"shock count must be >= 0, got {ell}")
     g = rng.stream(seed)
     return "".join(SHOCK_LABELS[i] for i in g.integers(4, size=ell))
 
@@ -105,8 +109,10 @@ def randomized_schedule(n: int, ell: int, total_time: float, seed) -> ShockSched
 
     ell = 0 yields the empty schedule (pure evolution for time T). T must be
     finite and > 0; a T too small to hold ell distinct positive times raises
-    ``InvalidParameterError``.
+    ``InvalidParameterError``, as does a chain of n < 1 sites.
     """
+    if n < 1:
+        raise InvalidParameterError(f"a schedule needs n >= 1 sites, got {n}")
     if ell < 0:
         raise InvalidParameterError(f"shock count must be >= 0, got {ell}")
     if not 0 < total_time < math.inf:
@@ -190,7 +196,7 @@ class PRSEnsembleSpec:
     hamiltonian: qcore.LocalHamiltonian = None
     multiplier: int = None
     scrambling_time: float = None
-    _unitary: object = field(default=None, repr=False, compare=False)
+    _unitary: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_shocks < 1:
@@ -346,14 +352,7 @@ def sibling_pair_overlap(tree: StateTree) -> float:
 # Monte Carlo power-overlap moment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    mean: float
-    std_error: float
-    trials: int
-
-
-def moment_power_overlap_mc(d: int, K: int, trials: int, seed) -> MomentEstimate:
+def moment_power_overlap_mc(d: int, K: int, trials: int, seed) -> stats.MCEstimate:
     """Monte Carlo E_U |<0| (U^dag)^K X_1 U^K |0>|^2 over Haar U.
 
     X_1 maps basis index v to v + d/2 (mod d): the first-bit flip when d is a
@@ -381,7 +380,7 @@ def moment_power_overlap_mc(d: int, K: int, trials: int, seed) -> MomentEstimate
         chunks.append(np.abs(np.einsum("ij,ij->i", psi.conj(), psi[:, bar_inv])) ** 2)
     samples = np.concatenate(chunks)
     se = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MomentEstimate(float(samples.mean()), se, trials)
+    return stats.MCEstimate(float(samples.mean()), se, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +542,9 @@ class BiasEstimate:
     def bias(self) -> float:
         return 2.0 * self.success_rate - 1.0
 
-    def bias_interval(self, z: float = 1.96) -> tuple:
-        lo, hi = stats.wilson_interval(self.successes, self.trials, z)
+    def bias_interval(self) -> tuple:
+        """The 95% Wilson interval of the success rate, mapped to the bias."""
+        lo, hi = stats.wilson_interval(self.successes, self.trials)
         return (2 * lo - 1, 2 * hi - 1)
 
 
@@ -561,7 +561,7 @@ def copy_limited_distinguisher(make_pair, copies: int, strategy, trials: int, se
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if isinstance(strategy, str):
         if strategy not in DISTINGUISHER_STRATEGIES:
-            raise KeyError(
+            raise UnknownNameError(
                 f"unknown strategy {strategy!r}; registered: {sorted(DISTINGUISHER_STRATEGIES)}")
         strategy = DISTINGUISHER_STRATEGIES[strategy]
     successes = 0
@@ -682,14 +682,10 @@ class EnsembleConfig:
     initial: str = "zeros"
 
 
-_CONFIG_FIELDS = ("scrambler", "n", "l", "seed", "m", "beta", "g", "h", "t_scr", "initial")
-_REQUIRED_CONFIG_FIELDS = ("scrambler", "n", "l", "seed")
-
-
 def ensemble_config_to_text(cfg: EnsembleConfig) -> str:
     lines = []
-    for name in _CONFIG_FIELDS:
-        value = getattr(cfg, name)
+    for f in fields(EnsembleConfig):
+        name, value = f.name, getattr(cfg, f.name)
         if value is None:
             continue
         if isinstance(value, float):
@@ -700,27 +696,27 @@ def ensemble_config_to_text(cfg: EnsembleConfig) -> str:
 
 
 def ensemble_config_from_text(text: str) -> EnsembleConfig:
+    """Inverse of ``ensemble_config_to_text``; the keys, the required ones and each
+    value's type are ``EnsembleConfig``'s fields, their defaults and annotations."""
     keys = _parse_keyvals(text)
-    known = set(_CONFIG_FIELDS)
-    unknown = set(keys) - known
+    schema = fields(EnsembleConfig)
+    unknown = set(keys) - {f.name for f in schema}
     if unknown:
         raise InvalidParameterError(f"unknown ensemble config keys: {sorted(unknown)}")
-    missing = [name for name in _REQUIRED_CONFIG_FIELDS if name not in keys]
+    missing = [f.name for f in schema if f.default is MISSING and f.name not in keys]
     if missing:
         raise InvalidParameterError(f"ensemble config is missing keys: {missing}")
     kwargs = {}
-    for name in ("scrambler", "initial"):
-        if name in keys:
-            kwargs[name] = keys[name]
-    for names, parse in ((("n", "l", "seed", "m"), int), (("beta", "g", "h", "t_scr"), float)):
-        for name in names:
-            if name in keys:
-                try:
-                    kwargs[name] = parse(keys[name])
-                except ValueError as exc:
-                    raise InvalidParameterError(
-                        f"ensemble config key {name} = {keys[name]!r} is not {parse.__name__}"
-                    ) from exc
+    for f in schema:
+        if f.name not in keys:
+            continue
+        parse = {"int": int, "float": float, "str": str}[f.type]
+        try:
+            kwargs[f.name] = parse(keys[f.name])
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"ensemble config key {f.name} = {keys[f.name]!r} is not {parse.__name__}"
+            ) from exc
     return EnsembleConfig(**kwargs)
 
 

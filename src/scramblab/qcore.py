@@ -29,15 +29,19 @@ Conventions
 - OTOCs are trial-batched: the Haar states and their V-shocked copies form
   the columns of one d x 2k block, moved into the eigenbasis once, and each
   grid time costs three block products with the eigenvectors.
-  ``scrambling_curve`` walks the grid once and returns both the scrambling
-  time and the averaged |OTOC| curve.
+  ``scrambling_curve`` walks the grid once with fixed probes, W = X on site 0
+  and V = Z on site n-1, and returns both the scrambling time and the
+  averaged |OTOC| curve; ``otoc`` takes any single-qubit probes.
 - Haar unitaries come two ways. ``haar_unitary`` forms a dense U (Ginibre +
   QR + phase fix), for a U that is reused or whose entries are read;
   ``haar_unitaries`` draws a stack of them with one stacked QR, bit for bit
   the same matrices.
   ``haar_batches`` yields trial batches in Stewart's factored form, applied
-  to vectors in O(d^2) without forming U. Unitaries the package builds skip
-  ``UnitaryMatrix``'s O(d^3) unitarity check; user-supplied matrices keep it.
+  to vectors in O(d^2) without forming U. ``stream_batches`` is the one trial
+  batcher: it cuts trials into lists of per-trial streams, for this sampler
+  and for ``weingarten.haar_moment_mc``'s dense stacks. Unitaries the
+  package builds skip ``UnitaryMatrix``'s O(d^3) unitarity check;
+  user-supplied matrices keep it.
 - All values are immutable after construction; operations are pure given
   their ``seed`` argument (an int or a numpy Generator, see ``rng.stream``).
 """
@@ -193,7 +197,7 @@ class LocalHamiltonian:
 
     n_qubits: int
     terms: tuple
-    _eig: object = field(default=None, repr=False, compare=False)
+    _eig: object = field(default=None, init=False, repr=False, compare=False)
     _half: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -347,20 +351,22 @@ def haar_batch(d: int, streams) -> HaarBatch:
     return HaarBatch(vectors, 1.0 / (norms * (norms + head_abs)), -phases)
 
 
-def haar_batches(d: int, trials: int, seed):
-    """Yield HaarBatch objects covering trials 0 .. trials-1 in order.
+def stream_batches(trials: int, seed, entries: int):
+    """Yield ``rng.stream(seed, t)`` for trials t = 0 .. trials-1 in order, in lists of
+    about HAAR_BATCH_ENTRIES // ``entries`` trials for a sampler of ``entries`` numbers
+    per trial. An int seed gives each trial its own substream; a Generator is drawn
+    from sequentially. So no draw depends on where the lists split."""
+    size = max(1, HAAR_BATCH_ENTRIES // entries)
+    for start in range(0, trials, size):
+        yield [rng.stream(seed, t) for t in range(start, min(trials, start + size))]
 
-    Trial t draws from ``rng.stream(seed, t)``: an int seed gives each trial
-    its own substream, a Generator is drawn from sequentially. Each batch
-    holds about HAAR_BATCH_ENTRIES packed reflector entries, and the samples do
-    not depend on where the batches split.
-    """
+
+def haar_batches(d: int, trials: int, seed):
+    """HaarBatch objects covering trials 0 .. trials-1 in order, one per
+    ``stream_batches`` list of about HAAR_BATCH_ENTRIES packed reflector entries."""
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    size = max(1, HAAR_BATCH_ENTRIES // (d * (d + 1) // 2))
-    for start in range(0, trials, size):
-        stop = min(trials, start + size)
-        yield haar_batch(d, [rng.stream(seed, t) for t in range(start, stop)])
+    return (haar_batch(d, streams) for streams in stream_batches(trials, seed, d * (d + 1) // 2))
 
 
 def apply_haar_batch(batch: HaarBatch, block: np.ndarray) -> np.ndarray:
@@ -644,15 +650,13 @@ def otoc(h: LocalHamiltonian, t: float, w: PauliTerm, v: PauliTerm, s: Statevect
 
 
 def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
-                     w: PauliTerm = None, v: PauliTerm = None,
-                     trials: int = 8, time_step: float = 0.25,
-                     extra_points: int = 0) -> tuple:
+                     trials: int = 8, time_step: float = 0.25, extra_points: int = 0) -> tuple:
     """(t_scr, values): the scrambling time and the trial-averaged |OTOC| on its grid.
 
     t_scr is the smallest grid time where the trial-averaged |OTOC| at
     infinite temperature drops below threshold * (initial value). The
     infinite-temperature average is estimated over ``trials`` Haar states;
-    the grid runs in steps of ``time_step`` up to 50*n. Defaults probe
+    the grid runs in steps of ``time_step`` up to 50*n. The probes are fixed:
     W = X on site 0 against V = Z on site n-1. ``values[k]`` is the average
     at t = k * time_step for k = 0 .. round(t_scr / time_step) + extra_points.
     Exhausting the grid raises ``NoScramblingError`` carrying the final
@@ -672,12 +676,8 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
     if t_max / time_step > MAX_GRID_POINTS:
         raise ResourceLimitError(
             f"a grid of step {time_step:g} up to t = {t_max:g} exceeds {MAX_GRID_POINTS} points")
-    if w is None:
-        w = PauliTerm.single(0, "X")
-    if v is None:
-        v = PauliTerm.single(n - 1, "Z")
     states = [haar_state(h.dimension, rng.stream(seed, i)) for i in range(trials)]
-    kernel = _otoc_kernel(h, w, v, states)
+    kernel = _otoc_kernel(h, PauliTerm.single(0, "X"), PauliTerm.single(n - 1, "Z"), states)
 
     def averaged(t):
         return float(np.mean(np.abs(kernel(t))))
@@ -693,8 +693,6 @@ def scrambling_curve(h: LocalHamiltonian, threshold: float, seed, *,
         f"|OTOC| never fell below {threshold} * {values[0]:g} by t = {t_max:g}", values[-1])
 
 
-def scrambling_time(h: LocalHamiltonian, threshold: float, seed, *,
-                    w: PauliTerm = None, v: PauliTerm = None,
-                    trials: int = 8, time_step: float = 0.25) -> float:
-    """The scrambling time of ``scrambling_curve`` (same arguments and defaults)."""
-    return scrambling_curve(h, threshold, seed, w=w, v=v, trials=trials, time_step=time_step)[0]
+def scrambling_time(h: LocalHamiltonian, threshold: float, seed, *, trials: int = 8) -> float:
+    """The scrambling time of ``scrambling_curve`` on its default grid."""
+    return scrambling_curve(h, threshold, seed, trials=trials)[0]

@@ -18,6 +18,9 @@ Rotation convention: RZ(t) = exp(-i t Z), RX(t) = exp(-i t X) (full angle,
 so RZ(a) RZ(b) = RZ(a+b) and || RZ(t) - I || = 2 |sin(t/2)| hold exactly).
 
 The text format is one gate per line: "KIND q0 [q1] [angle]".
+
+The exact complexity oracle ``exact_circuit_complexity`` is a breadth-first
+search over placements of {H, S, CNOT} only.
 """
 
 from __future__ import annotations
@@ -529,10 +532,10 @@ def _distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def exact_circuit_complexity(target: qcore.Statevector, start: qcore.Statevector,
-                             gate_set=None, eps: float = 1e-6) -> int:
-    """Minimal gate count from ``start`` to within ``eps`` of ``target``
-    (Euclidean distance up to global phase), by breadth-first search with
-    phase-invariant state deduplication.
+                             eps: float = 1e-6) -> int:
+    """Minimal count of {H, S, CNOT} gates (``default_gate_moves``) from ``start``
+    to within ``eps`` of ``target`` (Euclidean distance up to global phase), by
+    breadth-first search with phase-invariant state deduplication.
 
     Exhausting the reachable set or the frontier cap raises
     ``SearchInconclusiveError`` carrying the best distance found.
@@ -542,7 +545,7 @@ def exact_circuit_complexity(target: qcore.Statevector, start: qcore.Statevector
         raise ResourceLimitError(f"exact search limited to 3 qubits, got {n}")
     if target.dimension != start.dimension:
         raise InvalidParameterError("target and start dimensions differ")
-    moves = tuple(gate_set) if gate_set is not None else default_gate_moves(n)
+    moves = default_gate_moves(n)
     tgt = np.asarray(target.amplitudes)
     best = _distance_up_to_phase(tgt, np.asarray(start.amplitudes))
     if best <= eps:

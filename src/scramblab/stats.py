@@ -1,18 +1,30 @@
-"""Small statistics helpers used by games, distinguishers, and experiments."""
+"""Small statistics helpers used by games, distinguishers, and experiments,
+and ``MCEstimate``, the one record of a Monte Carlo mean and its standard error."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+@dataclass(frozen=True)
+class MCEstimate:
+    """A Monte Carlo mean (complex for a complex estimator), its standard error, trials."""
+
+    mean: complex
+    std_error: float
+    trials: int
+
+
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    z = 1.96  # the two-sided 95% normal quantile
     p = successes / trials
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .errors import InvalidParameterError, ResourceLimitError, SparseSetError
+from .errors import InvalidParameterError, ResourceLimitError, SparseSetError, UnknownNameError
 
 MAX_BITS = 26
 TREE_DEPTH_LIMIT = 20
@@ -600,7 +600,8 @@ def run_distinguishing_game(strategy: str, n: int, ell: int, trials: int, seed) 
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if strategy not in STRATEGIES:
-        raise KeyError(f"unknown strategy {strategy!r}; registered: {sorted(STRATEGIES)}")
+        raise UnknownNameError(
+            f"unknown strategy {strategy!r}; registered: {sorted(STRATEGIES)}")
     strat = STRATEGIES[strategy]
     hybrids, decisions, corrects, fwds, invs = [], [], [], [], []
     successes = 0

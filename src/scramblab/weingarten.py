@@ -13,8 +13,9 @@ function
           Wg(sigma tau^-1, d)
 
 for Haar-random U. Everything here is exact rational arithmetic
-(``fractions.Fraction``); floats appear only in the Monte Carlo estimators,
-which exist to cross-check the exact values.
+(``fractions.Fraction``); floats appear only in the Monte Carlo estimator
+``haar_moment_mc``, which exists to cross-check the exact values: its trials
+are batched by ``qcore.stream_batches`` and it returns a ``stats.MCEstimate``.
 
 One cached matrix W[a][b] = Wg(p_a p_b^-1, d) per (k, d) over explicit
 permutations serves the W * G check and every moment sum.
@@ -34,9 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import qcore, rng, stats
+from . import qcore, stats
 from .errors import (
     DegenerateFitError,
+    InvalidDimensionError,
     InvalidParameterError,
     ResourceLimitError,
 )
@@ -306,7 +308,8 @@ def gram_weingarten_identity(k: int, d: int) -> GramIdentityReport:
 class MomentSpec:
     """Index data for E prod_p U[i[p], j[p]] * prod_q conj(U)[i_conj[q], j_conj[q]].
 
-    All four tuples share length k; entries are basis indices in {0, ..., d-1}.
+    All four tuples share length k >= 1; entries are basis indices in {0, ..., d-1},
+    so a negative index is rejected here and one >= d by the moment functions.
     """
 
     i: tuple
@@ -323,55 +326,53 @@ class MomentSpec:
         k = len(self.i)
         if not (len(self.j) == len(self.i_conj) == len(self.j_conj) == k) or k < 1:
             raise InvalidParameterError("all four index tuples must share length k >= 1")
+        if min(self.i + self.j + self.i_conj + self.j_conj) < 0:
+            raise InvalidParameterError("indices must be >= 0")
 
     @property
     def order(self) -> int:
         return len(self.i)
 
 
+def _check_moment_dimension(m: MomentSpec, d: int) -> None:
+    """The exact and Monte Carlo moments' shared check: d >= 1 and every index < d."""
+    if d < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+    if max(m.i + m.j + m.i_conj + m.j_conj) >= d:
+        raise InvalidParameterError(f"index exceeds dimension {d}")
+
+
 def haar_moment_exact(m: MomentSpec, d: int) -> Fraction:
     """Exact mixed moment of Haar matrix entries via the double permutation sum."""
+    _check_moment_dimension(m, d)
     k = m.order
     if k > 4:
         raise ResourceLimitError(f"exact moments limited to k <= 4, got {k}")
     if d < k:
         raise InvalidParameterError(f"exact moments need d >= k, got k = {k}, d = {d}")
-    if max(max(m.i), max(m.j), max(m.i_conj), max(m.j_conj)) >= d:
-        raise InvalidParameterError("index exceeds dimension")
     return _pattern_sum(m.i, m.i_conj, m.j, m.j_conj, d)
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: complex
-    std_error: float
-    trials: int
-
-
-def haar_moment_mc(m: MomentSpec, d: int, trials: int, seed) -> MCEstimate:
+def haar_moment_mc(m: MomentSpec, d: int, trials: int, seed) -> stats.MCEstimate:
     """Monte Carlo estimate of the same moment over Haar samples from qcore.
 
-    Trial t draws from ``rng.stream(seed, t)``, in stacks of at most
-    ``qcore.HAAR_BATCH_ENTRIES`` entries.
+    Trial t draws from ``rng.stream(seed, t)``, in ``qcore.stream_batches``
+    stacks. Each stack gives up the 2k entries the moment reads as columns of one
+    (2k, trials) block, whose products are taken at once: no bit depends on the split.
 
     ``std_error`` combines the real and imaginary sample variances, so
     |exact - mean| <= z * std_error is a meaningful two-dimensional check.
     """
+    _check_moment_dimension(m, d)
     if trials < 100:
         raise InvalidParameterError(f"need at least 100 trials for the SE, got {trials}")
-    samples = np.empty(trials, dtype=np.complex128)
-    chunk = max(1, qcore.HAAR_BATCH_ENTRIES // (d * d))
-    for start in range(0, trials, chunk):
-        stop = min(trials, start + chunk)
-        u = qcore.haar_unitaries(d, [rng.stream(seed, t) for t in range(start, stop)])
-        samples[start:stop] = (np.prod(u[:, m.i, m.j], axis=1)
-                               * np.prod(u[:, m.i_conj, m.j_conj].conj(), axis=1))
-    mean = complex(samples.mean())
-    if trials > 1:
-        var = samples.real.var(ddof=1) + samples.imag.var(ddof=1)
-    else:
-        var = 0.0
-    return MCEstimate(mean, math.sqrt(var / trials), trials)
+    rows, cols = m.i + m.i_conj, m.j + m.j_conj
+    entries = np.concatenate([qcore.haar_unitaries(d, streams)[:, rows, cols].T
+                              for streams in qcore.stream_batches(trials, seed, d * d)], axis=1)
+    k = m.order
+    samples = np.prod(entries[:k], axis=0) * np.prod(entries[k:].conj(), axis=0)
+    var = samples.real.var(ddof=1) + samples.imag.var(ddof=1)
+    return stats.MCEstimate(complex(samples.mean()), math.sqrt(var / trials), trials)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from scramblab import benchcli as bc, rewrite as rw
-from scramblab.errors import InvalidParameterError
+from scramblab.errors import InvalidParameterError, ScramblabError
 
 
 # Every float parameter of every experiment, set to nan, and to inf except eps
@@ -263,6 +263,23 @@ class TestCliErrors:
         assert bc.main(["pc", "--input", "c.txt", "--output", "nodir/x.txt"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nodir/x.txt" in err
+
+    def test_unknown_experiment_message_is_unquoted(self, capsys):
+        assert bc.main(["run", "--experiment", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'nope'; registered: [")
+        assert '"' not in err
+
+    def test_key_error_inside_an_experiment_is_not_exit_2(self, tmp_path, monkeypatch):
+        def broken(params, seed):
+            return {}[params["n"]]
+
+        exp = bc._REGISTRY["toy-hybrids"]
+        monkeypatch.setitem(bc._REGISTRY, "toy-hybrids",
+                            bc.Experiment(exp.name, exp.description, exp.params, broken))
+        with pytest.raises(KeyError) as err:
+            bc.main(["run", "--experiment", "toy-hybrids", "--out", str(tmp_path)])
+        assert not isinstance(err.value, ScramblabError)
 
     def test_every_package_error_is_a_scramblab_error(self):
         from scramblab import errors

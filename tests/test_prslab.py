@@ -42,6 +42,12 @@ class TestEnsembleSpec:
             pl.prs_state(spec, "XY")
         with pytest.raises(ShockKeyError):
             pl.prs_state(spec, "XQZ")
+        with pytest.raises(ShockKeyError, match=">= 0"):
+            pl.random_shock_key(-1, 0)
+
+    def test_cached_unitary_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            pl.PRSEnsembleSpec(1, qcore.zero_state(2), "haar", seed=0, _unitary=None)
 
     def test_multiplier_floor(self):
         h = qcore.build_hamiltonian(3, 1.05, 0.5)
@@ -128,6 +134,8 @@ class TestSchedules:
         assert np.all(np.abs(p - 1 / n) <= 3.5 * se)
 
     def test_schedule_validation(self):
+        with pytest.raises(InvalidParameterError, match="n >= 1"):
+            pl.randomized_schedule(0, 2, 1.0, 0)
         with pytest.raises(ScheduleError):
             pl.ShockSchedule(((1.0, 0, "X"), (1.0, 1, "Y")), 2.0)  # equal times
         with pytest.raises(ScheduleError):

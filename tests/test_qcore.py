@@ -243,6 +243,10 @@ class TestHamiltonian:
         with pytest.raises(InvalidParameterError):
             qcore.build_hamiltonian(1, 1.0, 0.5)
 
+    def test_cached_eigensystem_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            qcore.LocalHamiltonian(2, (), _eig=None)
+
     @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, coefficient):
         with pytest.raises(InvalidParameterError, match="coefficient must be finite"):

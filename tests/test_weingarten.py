@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scramblab import rng, weingarten as wg
+from scramblab import qcore, rng, weingarten as wg
 from scramblab.errors import (
     DegenerateFitError,
+    InvalidDimensionError,
     InvalidParameterError,
     ResourceLimitError,
 )
@@ -160,6 +161,9 @@ class TestGramIdentity:
             wg.gram_weingarten_identity(6, 7)
 
 
+MOMENT_PATHS = [wg.haar_moment_exact, lambda m, d: wg.haar_moment_mc(m, d, 100, seed=0)]
+
+
 class TestMoments:
     def test_k1_entry_moment(self):
         m = wg.MomentSpec((0,), (0,), (0,), (0,))
@@ -245,6 +249,32 @@ class TestMoments:
     def test_below_the_wg_regime_rejected_for_every_pattern(self, m):
         with pytest.raises(InvalidParameterError, match="k = 3, d = 2"):
             wg.haar_moment_exact(m, 2)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_negative_index_rejected(self, slot):
+        tuples = [(0,), (0,), (0,), (0,)]
+        tuples[slot] = (-1,)
+        with pytest.raises(InvalidParameterError, match=">= 0"):
+            wg.MomentSpec(*tuples)
+
+    @pytest.mark.parametrize("moment", MOMENT_PATHS, ids=["exact", "mc"])
+    def test_zero_dimension_rejected(self, moment):
+        with pytest.raises(InvalidDimensionError):
+            moment(wg.MomentSpec((0,), (0,), (0,), (0,)), 0)
+
+    @pytest.mark.parametrize("moment", MOMENT_PATHS, ids=["exact", "mc"])
+    def test_index_at_the_dimension_rejected(self, moment):
+        with pytest.raises(InvalidParameterError, match="index exceeds dimension 4"):
+            moment(wg.MomentSpec((0, 1), (0, 4), (0, 1), (0, 1)), 4)
+
+    def test_mc_samples_independent_of_batch_budget(self, monkeypatch):
+        # the dense path's batches split as the Stewart path's do; no trial moves
+        m = wg.MomentSpec((0, 1), (1, 0), (0, 1), (1, 0))
+        seeds = (lambda: 8, lambda: rng.stream(8))
+        refs = [wg.haar_moment_mc(m, 4, 150, make_seed()) for make_seed in seeds]
+        for budget in (1, 7 * 16 + 3):  # one trial per stack; seven, the last stack short
+            monkeypatch.setattr(qcore, "HAAR_BATCH_ENTRIES", budget)
+            assert [wg.haar_moment_mc(m, 4, 150, make_seed()) for make_seed in seeds] == refs
 
 
 class TestPowerOverlap:
