@@ -346,9 +346,9 @@ def _prs_energy(params, seed):
             "exact_energy": [v.exact_energy for v in base_res.variants],
             "estimate": [v.estimate for v in base_res.variants],
             "std_error": [v.std_error for v in base_res.variants],
-            "resolved_at_base_budget": base_res.verdict.resolved,
-            "separation": base_res.verdict.separation,
-            "combined_se": base_res.verdict.combined_se,
+            "resolved_at_base_budget": base_res.resolved,
+            "separation": base_res.separation,
+            "combined_se": base_res.combined_se,
         }
         if expect_resolved is not False:
             entry["resolution_budget"] = budget

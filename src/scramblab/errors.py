@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one index check.
 
 Every package error derives from ``ScramblabError`` and from the builtin
 exception it refines (``ValueError``, ``RuntimeError`` or ``KeyError``), so
 callers may catch either.
 """
+
+import operator
 
 
 class ScramblabError(Exception):
@@ -71,3 +73,13 @@ class SearchInconclusiveError(ScramblabError, RuntimeError):
     def __init__(self, message: str, best_distance: float):
         super().__init__(message)
         self.best_distance = best_distance
+
+
+def as_index(value) -> int:
+    """``value`` as an int if it is integral (has ``__index__``, as Python and
+    numpy ints do); anything else, such as 1.5 or "1", raises
+    ``InvalidParameterError`` rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"index must be an integer, got {value!r}") from None

@@ -41,6 +41,7 @@ from .errors import (
     ScheduleError,
     ShockKeyError,
     UnknownNameError,
+    as_index,
 )
 
 SHOCK_LABELS = "IXYZ"
@@ -75,7 +76,7 @@ class ShockSchedule:
     total_time: float
 
     def __post_init__(self):
-        entries = tuple((float(t), int(q), str(p).upper()) for t, q, p in self.entries)
+        entries = tuple((float(t), as_index(q), str(p).upper()) for t, q, p in self.entries)
         total = float(self.total_time)
         if not 0 <= total < math.inf:
             raise ScheduleError(f"total time must be finite and >= 0, got {total}")
@@ -242,12 +243,10 @@ class PRSEnsembleSpec:
         return qcore.UnitaryMatrix._trusted(self.scramble(np.eye(self.dimension, dtype=complex)))
 
 
-def _site0_qubits(state: qcore.Statevector) -> int:
-    """n of a state to shock on site 0, checked as ``qcore.apply_pauli`` checks it."""
-    n = state.n_qubits
-    if n < 1:
-        raise DimensionMismatchError(f"a shock on site 0 does not fit on {n} qubits")
-    return n
+def _check_site0_fits(state: qcore.Statevector) -> None:
+    """A shock on site 0 fits on ``state``, checked as ``qcore.apply_pauli`` checks it."""
+    if state.n_qubits < 1:
+        raise DimensionMismatchError(f"a shock on site 0 does not fit on {state.n_qubits} qubits")
 
 
 def prs_state(spec: PRSEnsembleSpec, key: str) -> qcore.Statevector:
@@ -258,12 +257,12 @@ def prs_state(spec: PRSEnsembleSpec, key: str) -> qcore.Statevector:
     """
     key = validate_shock_key(key, spec.num_shocks)
     if key.strip("I"):
-        n = _site0_qubits(spec.initial_state)
+        _check_site0_fits(spec.initial_state)
     amps = spec.initial_state.amplitudes
     for label in key:
         amps = spec.scramble(amps)
         if label != "I":
-            amps = qcore._apply_site_pauli(amps, label, 0, n)
+            amps = qcore._apply_site_pauli(amps, label, 0)
     return qcore.Statevector(amps)
 
 
@@ -279,7 +278,7 @@ def shocked_evolution_state(h: qcore.LocalHamiltonian, sched: ShockSchedule,
     t_prev = 0.0
     for t, q, p in sched.entries:
         amps = qcore._evolve_amplitudes(h, t - t_prev, amps)
-        amps = qcore._apply_site_pauli(amps, p, q, h.n_qubits)
+        amps = qcore._apply_site_pauli(amps, p, q)
         t_prev = t
     return qcore.Statevector(qcore._evolve_amplitudes(h, sched.total_time - t_prev, amps))
 
@@ -318,10 +317,11 @@ def build_state_tree(spec: PRSEnsembleSpec, depth: int = None) -> StateTree:
         raise ResourceLimitError(
             f"tree of depth {depth} at dimension {spec.dimension} exceeds the memory cap")
     levels = [spec.initial_state.amplitudes[:, None]]
-    n = _site0_qubits(spec.initial_state) if depth else 0
+    if depth:
+        _check_site0_fits(spec.initial_state)
     for _ in range(depth):
         scrambled = spec.scramble(levels[-1])
-        children = [qcore._apply_site_pauli(scrambled, c, 0, n) for c in SHOCK_LABELS]
+        children = [qcore._apply_site_pauli(scrambled, c, 0) for c in SHOCK_LABELS]
         levels.append(np.stack(children, axis=-1).reshape(spec.dimension, -1))
         levels[-1].setflags(write=False)
     return StateTree(depth, tuple(levels))
@@ -596,16 +596,11 @@ class VariantEnergy:
 
 
 @dataclass(frozen=True)
-class PairVerdict:
-    resolved: bool
-    separation: float
-    combined_se: float
-
-
-@dataclass(frozen=True)
 class EnergyAttackResult:
     variants: tuple  # the pair's two VariantEnergy values
-    verdict: PairVerdict
+    resolved: bool   # separation > 3 * combined_se
+    separation: float
+    combined_se: float
 
 
 def energy_resolution_budget(h: qcore.LocalHamiltonian, pair, shots_per_copy: int,
@@ -627,7 +622,7 @@ def energy_resolution_budget(h: qcore.LocalHamiltonian, pair, shots_per_copy: in
     prepared = _prepared_variants(h, pair, initial)
     budget = copies * shots_per_copy
     base = res = _energy_attack(h, prepared, budget, copy.deepcopy(seed))
-    while not res.verdict.resolved and budget <= max_budget:
+    while not res.resolved and budget <= max_budget:
         budget *= 2
         if budget <= max_budget:
             res = _energy_attack(h, prepared, budget, copy.deepcopy(seed))
@@ -654,7 +649,7 @@ def _energy_attack(h, prepared, budget: int, seed) -> EnergyAttackResult:
     a, b = results
     sep = abs(a.estimate - b.estimate)
     comb = math.hypot(a.std_error, b.std_error)
-    return EnergyAttackResult((a, b), PairVerdict(sep > 3 * comb, sep, comb))
+    return EnergyAttackResult((a, b), sep > 3 * comb, sep, comb)
 
 
 # ---------------------------------------------------------------------------

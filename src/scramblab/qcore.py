@@ -60,6 +60,7 @@ from .errors import (
     InvalidParameterError,
     NoScramblingError,
     ResourceLimitError,
+    as_index,
 )
 
 NORM_ATOL = 1e-10
@@ -153,7 +154,7 @@ class PauliTerm:
     coefficient: float = 1.0
 
     def __post_init__(self):
-        sites = tuple(int(q) for q in self.sites)
+        sites = tuple(as_index(q) for q in self.sites)
         labels = str(self.labels).upper()
         if len(sites) != len(labels):
             raise InvalidParameterError("sites and labels must have equal length")
@@ -405,7 +406,7 @@ def apply_unitary(u: UnitaryMatrix, s: Statevector) -> Statevector:
     return Statevector(u.matrix @ s.amplitudes)
 
 
-def _apply_site_pauli(amps: np.ndarray, label: str, site: int, n: int) -> np.ndarray:
+def _apply_site_pauli(amps: np.ndarray, label: str, site: int) -> np.ndarray:
     """Single-site Pauli on the rows of a length-d vector or a (d, k) column block."""
     view = amps.reshape(1 << site, 2, -1)
     out = np.empty_like(view)
@@ -430,7 +431,7 @@ def apply_pauli(p: PauliTerm, s: Statevector) -> Statevector:
         raise DimensionMismatchError(f"term {p} does not fit on {n} qubits")
     amps = np.array(s.amplitudes, copy=True)
     for q, c in zip(p.sites, p.labels):
-        amps = _apply_site_pauli(amps, c, q, n)
+        amps = _apply_site_pauli(amps, c, q)
     return Statevector(amps)
 
 
@@ -629,14 +630,14 @@ def _otoc_kernel(h: LocalHamiltonian, w: PauliTerm, v: PauliTerm, states):
     evals, evecs = h.eigensystem()
     block = np.stack([s.amplitudes for s in states], axis=1)
     k = block.shape[1]
-    shocked = _apply_site_pauli(block, v.labels, v.sites[0], n)
+    shocked = _apply_site_pauli(block, v.labels, v.sites[0])
     coeffs = _to_eigenbasis(evecs, np.hstack([block, shocked]))
 
     def at(t: float) -> np.ndarray:
         phases = np.exp(-1j * evals * t)[:, None]
-        y = _apply_site_pauli(_basis_product(evecs, phases * coeffs), w.labels, w.sites[0], n)
+        y = _apply_site_pauli(_basis_product(evecs, phases * coeffs), w.labels, w.sites[0])
         y = _basis_product(evecs, phases.conj() * _to_eigenbasis(evecs, y))
-        vw = _apply_site_pauli(y[:, :k], v.labels, v.sites[0], n)
+        vw = _apply_site_pauli(y[:, :k], v.labels, v.sites[0])
         return np.einsum("ij,ij->j", vw.conj(), y[:, k:])
 
     return at

@@ -36,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
     SearchInconclusiveError,
+    as_index,
 )
 
 GATE_ARITY = {"X": 1, "Y": 1, "Z": 1, "H": 1, "S": 1, "SDG": 1,
@@ -54,7 +55,7 @@ class Gate:
 
     def __post_init__(self):
         kind = str(self.kind).upper()
-        qubits = tuple(int(q) for q in (self.qubits if isinstance(self.qubits, (tuple, list))
+        qubits = tuple(as_index(q) for q in (self.qubits if isinstance(self.qubits, (tuple, list))
                                         else (self.qubits,)))
         if kind not in GATE_ARITY:
             raise InvalidParameterError(f"unknown gate kind {kind!r}")

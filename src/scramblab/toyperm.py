@@ -13,13 +13,14 @@ distinguishing strategies (full forward enumeration, bidirectional
 meet-in-the-middle, zero-query baseline) together with a coin-flip game
 harness that records per-trial query counts.
 
-An oracle from ``random_permutation`` is sampled lazily, as the query model
-allows: each new point is uniform over the values not yet used, so a game
-that makes a few dozen queries never writes out its 2^n-entry table. The
-table is completed uniformly on its first read (serialization, splices,
-unmetered trees, exact laws); read before any query, it is exactly the
-stream's ``permutation(2**n)``. Explicit tables (``PermutationOracle(n,
-table)``, loaded oracles, splices, the exhaustive enumeration) are unchanged.
+One class, ``PermutationOracle``, holds sigma and its two query counters.
+sigma is either an explicit table (built by a caller, loaded or spliced),
+which the constructor checks is a bijection, or, from ``random_permutation``,
+sampled lazily, as the query model allows: each new point is uniform over the
+values not yet used, so a game that makes a few dozen queries never writes out
+its 2^n-entry table. The table is completed uniformly on its first read
+(serialization, splices, fresh copies, unmetered trees, exact laws); read
+before any query, it is exactly the stream's ``permutation(2**n)``.
 
 The exact hybrid tables enumerate all 8! permutations as one int64 array in
 ``itertools.permutations`` order and build every depth-2 tree from it with
@@ -55,68 +56,63 @@ TREE_DEPTH_LIMIT = 20
 _DRAW_BLOCK = 64
 
 
-class _Sigma:
-    """One permutation of range(size), shared by an oracle and its fresh copies.
+class PermutationOracle:
+    """Bijection sigma on n-bit strings with metered queries.
 
-    It is either an explicit table or sampled lazily from its own generator:
-    ``_points`` maps each input assigned so far to its output and
-    ``_preimages`` the reverse. A new forward (inverse) point is uniform over
-    the outputs (inputs) not yet used: uniform draws over range(size), taken
-    in blocks, rejecting the values already taken. The first read of the table
-    completes it, giving the unassigned inputs a uniform permutation of the
-    unassigned outputs; untouched, that is exactly ``g.permutation(size)``.
-    Either way the law is that of a uniform permutation.
+    ``forward``/``inverse`` increment the matching counter by exactly one per
+    call; ``lookup`` reads sigma unmetered. sigma is an explicit table, which
+    the constructor checks is a bijection, or, from ``random_permutation``,
+    sampled lazily from its own generator: ``_points`` maps each input
+    assigned so far to its output and ``_preimages`` the reverse. A new
+    forward (inverse) point is uniform over the outputs (inputs) not yet used:
+    uniform draws over range(2^n), taken in blocks, rejecting the values
+    already taken. The tables are exposed read-only for harness construction,
+    serialization, and exact enumeration; those paths are not metered. Their
+    first read completes a lazy sigma, keeping every point already queried and
+    giving the unassigned inputs a uniform permutation of the unassigned
+    outputs; untouched, that is exactly ``g.permutation(2**n)``. Either way the
+    law is that of a uniform permutation.
     """
 
-    __slots__ = ("size", "fwd", "inv", "_g", "_points", "_preimages", "_candidates")
+    __slots__ = ("n", "size", "forward_queries", "inverse_queries",
+                 "_fwd", "_inv", "_g", "_points", "_preimages", "_candidates")
 
-    def __init__(self, size: int, table, g):
-        self.size = size
-        self.fwd = table
-        self.inv = None
-        self._g = g
-        self._points = {}
-        self._preimages = {}
-        self._candidates = iter(())
+    def __init__(self, n: int, forward_table):
+        n = int(n)
+        if not 1 <= n <= MAX_BITS:
+            raise InvalidParameterError(f"bit-width must satisfy 1 <= n <= {MAX_BITS}, got {n}")
+        fwd = np.asarray(forward_table)
+        if fwd.dtype.kind not in "iu":
+            raise InvalidParameterError(f"oracle table must hold integers, got {fwd.dtype}")
+        fwd = fwd.astype(np.int64, copy=False)
+        if fwd.shape != (1 << n,):
+            raise InvalidParameterError(f"table must have 2^{n} entries")
+        lo, hi = int(fwd.min()), int(fwd.max())
+        if lo < 0 or hi >= fwd.size:
+            bad = lo if lo < 0 else hi
+            raise InvalidParameterError(f"oracle entry {bad} is not an {n}-bit string")
+        if np.unique(fwd).size != fwd.size:
+            raise InvalidParameterError("oracle table is not a bijection: an output repeats")
+        fwd.setflags(write=False)
+        self._start(n, fwd, None, None)
 
-    def _draw(self, taken: dict) -> int:
-        while True:
-            for v in self._candidates:
-                if v not in taken:
-                    return v
-            self._candidates = iter(self._g.integers(self.size, size=_DRAW_BLOCK).tolist())
+    def _start(self, n: int, fwd, inv, g) -> "PermutationOracle":
+        """Zeroed counters over the read-only tables ``fwd`` and ``inv`` (None
+        until first read), or, with ``fwd`` None, a lazy sigma drawn from ``g``."""
+        self.n, self.size = n, 1 << n
+        self.forward_queries = self.inverse_queries = 0
+        self._fwd, self._inv, self._g = fwd, inv, g
+        self._points, self._preimages, self._candidates = {}, {}, iter(())
+        return self
 
-    def _outside(self, x: int) -> InvalidParameterError:
-        return InvalidParameterError(f"query {x} is outside 0..{self.size - 1}")
+    @property
+    def flip_mask(self) -> int:
+        """Bit mask of the first (most significant) bit."""
+        return 1 << (self.n - 1)
 
-    def forward(self, x) -> int:
-        x = int(x)
-        if not 0 <= x < self.size:
-            raise self._outside(x)
-        if self.fwd is not None:
-            return int(self.fwd[x])
-        y = self._points.get(x)
-        if y is None:
-            y = self._draw(self._preimages)
-            self._points[x] = y
-            self._preimages[y] = x
-        return y
-
-    def inverse(self, y) -> int:
-        y = int(y)
-        if not 0 <= y < self.size:
-            raise self._outside(y)
-        if self.fwd is not None:
-            return int(self.inverse_table()[y])
-        x = self._preimages.get(y)
-        if x is None:
-            x = self._draw(self._points)
-            self._points[x] = y
-            self._preimages[y] = x
-        return x
-
+    @property
     def forward_table(self) -> np.ndarray:
-        if self.fwd is None:
+        if self._fwd is None:
             points = self._points
             if points:
                 xs = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
@@ -129,93 +125,68 @@ class _Sigma:
             else:
                 table = self._g.permutation(self.size)
             table.setflags(write=False)
-            self.fwd = table
+            self._fwd = table
             self._g = self._points = self._preimages = self._candidates = None
-        return self.fwd
+        return self._fwd
 
+    @property
     def inverse_table(self) -> np.ndarray:
-        if self.inv is None:
-            fwd = self.forward_table()
+        if self._inv is None:
+            fwd = self.forward_table
             inv = np.empty_like(fwd)
             inv[fwd] = np.arange(fwd.size, dtype=np.int64)
             inv.setflags(write=False)
-            self.inv = inv
-        return self.inv
-
-
-class PermutationOracle:
-    """Bijection sigma on n-bit strings with metered queries.
-
-    ``forward``/``inverse`` increment the matching counter by exactly one per
-    call; ``lookup`` reads sigma unmetered. sigma is an explicit table or, from
-    ``random_permutation``, sampled lazily point by point as it is queried. The
-    tables are exposed read-only for harness construction, serialization, and
-    exact enumeration; those paths are not metered, and a lazily sampled sigma
-    is completed on their first read, keeping every point already queried.
-    """
-
-    __slots__ = ("n", "_sigma", "forward_queries", "inverse_queries")
-
-    def __init__(self, n: int, forward_table: np.ndarray):
-        n = int(n)
-        fwd = np.asarray(forward_table, dtype=np.int64)
-        if fwd.shape != (1 << n,):
-            raise InvalidParameterError(f"table must have 2^{n} entries")
-        fwd.setflags(write=False)
-        self.n, self._sigma = n, _Sigma(fwd.size, fwd, None)
-        self.forward_queries = self.inverse_queries = 0
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def flip_mask(self) -> int:
-        """Bit mask of the first (most significant) bit."""
-        return 1 << (self.n - 1)
-
-    @property
-    def forward_table(self) -> np.ndarray:
-        return self._sigma.forward_table()
-
-    @property
-    def inverse_table(self) -> np.ndarray:
-        return self._sigma.inverse_table()
+            self._inv = inv
+        return self._inv
 
     @property
     def query_counts(self) -> tuple:
         return (self.forward_queries, self.inverse_queries)
 
+    def _draw(self, taken: dict) -> int:
+        while True:
+            for v in self._candidates:
+                if v not in taken:
+                    return v
+            self._candidates = iter(self._g.integers(self.size, size=_DRAW_BLOCK).tolist())
+
     def lookup(self, x: int) -> int:
         """sigma(x) without metering, for harnesses."""
-        return self._sigma.forward(x)
+        x = int(x)
+        if not 0 <= x < self.size:
+            raise InvalidParameterError(f"query {x} is outside 0..{self.size - 1}")
+        if self._fwd is not None:
+            return int(self._fwd[x])
+        y = self._points.get(x)
+        if y is None:
+            y = self._draw(self._preimages)
+            self._points[x] = y
+            self._preimages[y] = x
+        return y
 
     def forward(self, x: int) -> int:
         self.forward_queries += 1
-        return self._sigma.forward(x)
+        return self.lookup(x)
 
-    def inverse(self, x: int) -> int:
+    def inverse(self, y: int) -> int:
         self.inverse_queries += 1
-        return self._sigma.inverse(x)
-
-    def query(self, direction: str, x: int) -> int:
-        if direction == "forward":
-            return self.forward(x)
-        if direction == "inverse":
-            return self.inverse(x)
-        raise InvalidParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        y = int(y)
+        if not 0 <= y < self.size:
+            raise InvalidParameterError(f"query {y} is outside 0..{self.size - 1}")
+        if self._fwd is not None:
+            return int(self.inverse_table[y])
+        x = self._preimages.get(y)
+        if x is None:
+            x = self._draw(self._points)
+            self._points[x] = y
+            self._preimages[y] = x
+        return x
 
     def fresh_copy(self) -> "PermutationOracle":
-        """A view of the same sigma with zeroed counters."""
-        return _oracle_over(self.n, self._sigma)
-
-
-def _oracle_over(n: int, sigma: _Sigma) -> PermutationOracle:
-    """A fresh-counter oracle on an existing sigma."""
-    o = PermutationOracle.__new__(PermutationOracle)
-    o.n, o._sigma = n, sigma
-    o.forward_queries = o.inverse_queries = 0
-    return o
+        """An oracle with zeroed counters over this one's tables, shared, not
+        copied; a lazy sigma is completed first, keeping every point queried."""
+        return PermutationOracle.__new__(PermutationOracle)._start(
+            self.n, self.forward_table, self._inv, None)
 
 
 def random_permutation(n: int, seed) -> PermutationOracle:
@@ -224,7 +195,7 @@ def random_permutation(n: int, seed) -> PermutationOracle:
     that stream's ``permutation(2**n)``."""
     if not 1 <= n <= MAX_BITS:
         raise ResourceLimitError(f"bit-width must satisfy 1 <= n <= {MAX_BITS}, got {n}")
-    return _oracle_over(n, _Sigma(1 << n, None, rng.stream(seed)))
+    return PermutationOracle.__new__(PermutationOracle)._start(n, None, None, rng.stream(seed))
 
 
 def _walk(step, mask: int, ell: int, g) -> int:
@@ -656,12 +627,7 @@ def oracle_from_bytes(data: bytes) -> PermutationOracle:
     body = np.frombuffer(data, dtype=np.uint8, offset=4).reshape(-1, width)
     padded = np.zeros((body.shape[0], 4), dtype=np.uint8)
     padded[:, :width] = body
-    fwd = padded.view("<u4").reshape(-1).astype(np.int64)
-    if int(fwd.max()) >= 1 << n:
-        raise InvalidParameterError(f"oracle entry {int(fwd.max())} is not an {n}-bit string")
-    if np.unique(fwd).size != fwd.size:
-        raise InvalidParameterError("oracle table is not a bijection: an output repeats")
-    return PermutationOracle(n, fwd)
+    return PermutationOracle(n, padded.view("<u4").reshape(-1).astype(np.int64))
 
 
 def save_oracle(o: PermutationOracle, path):

@@ -41,6 +41,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
     ResourceLimitError,
+    as_index,
 )
 
 MAX_WEIGHT = 8
@@ -318,7 +319,7 @@ class MomentSpec:
     j_conj: tuple
 
     def __post_init__(self):
-        tup = lambda t: tuple(int(x) for x in t)
+        tup = lambda t: tuple(as_index(x) for x in t)
         object.__setattr__(self, "i", tup(self.i))
         object.__setattr__(self, "j", tup(self.j))
         object.__setattr__(self, "i_conj", tup(self.i_conj))

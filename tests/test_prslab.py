@@ -143,6 +143,10 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             pl.ShockSchedule(((1.0, 0, "W"),), 2.0)  # bad label
 
+    def test_non_integral_site_rejected(self):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            pl.ShockSchedule(((1.0, 0.9, "X"),), 2.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, bad):
         with pytest.raises(ScheduleError):
@@ -458,7 +462,7 @@ class TestEnergyAttack:
         sched = pl.fixed_spacing_schedule(2, 9.0)
         res, _ = pl.energy_resolution_budget(doubled_chain_12, [sched, sched], 50, 4, 0,
                                              seed=22, initial=tfd_beta1)
-        assert not res.verdict.resolved
+        assert not res.resolved
         assert res.variants[0].exact_energy == res.variants[1].exact_energy
 
     def test_energy_strategy_bias_at_one_copy(self, doubled_chain_12, tfd_beta1):
@@ -515,7 +519,7 @@ class TestEnergyAttack:
                                                    initial=tfd)[0]
             b *= 2
         assert base == steps[10]
-        resolving = [b for b, r in steps.items() if r.verdict.resolved]
+        resolving = [b for b, r in steps.items() if r.resolved]
         assert budget == min(resolving)
         assert pl.energy_resolution_budget(hd, pair, 5, 2, 5, 32, initial=tfd)[1] is None
         for wrong in (pair[:1], pair + pair[:1]):

@@ -254,6 +254,10 @@ class TestHamiltonian:
         with pytest.raises(InvalidParameterError):
             qcore.build_hamiltonian(4, coefficient, 0.5)
 
+    def test_non_integral_site_rejected(self):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            qcore.PauliTerm((0.7,), "X")
+
     def test_doubled_hamiltonian_blocks(self, chaotic_chain_6, doubled_chain_12):
         assert doubled_chain_12.n_qubits == 12
         assert len(doubled_chain_12.terms) == 2 * len(chaotic_chain_6.terms)

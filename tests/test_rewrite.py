@@ -38,6 +38,10 @@ class TestGateIR:
         with pytest.raises(InvalidParameterError):
             rw.Gate("RZ", (0,))
 
+    def test_non_integral_qubit_rejected(self):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            rw.Gate("X", 0.7)
+
     def test_inverse_pairs(self):
         for kind in ("X", "Y", "Z", "H", "CZ", "CNOT"):
             qubits = (0, 1) if kind in ("CZ", "CNOT") else (0,)

@@ -20,9 +20,9 @@ class TestOracle:
     def test_counters_increment_exactly(self):
         o = tp.random_permutation(4, seed=2)
         for q in range(5):
-            o.query("forward", q)
+            o.forward(q)
         for q in range(3):
-            o.query("inverse", q)
+            o.inverse(q)
         assert o.query_counts == (5, 3)
 
     def test_bijection_invariant_exhaustive(self):
@@ -46,7 +46,7 @@ class TestOracle:
         o = tp.random_permutation(5, seed=4)
         x = 7
         pi_x = o.forward_table[x ^ o.flip_mask]
-        assert o.query("forward", x ^ (1 << 4)) == pi_x
+        assert o.forward(x ^ (1 << 4)) == pi_x
 
     def test_width_out_of_range(self):
         with pytest.raises(ResourceLimitError):
@@ -472,6 +472,31 @@ class TestSerialization:
         with pytest.raises(InvalidParameterError):
             tp.oracle_from_bytes(blob)
 
+    @pytest.mark.parametrize("n,table", [
+        (2, [0, 0, 1, 2]),   # an output repeats
+        (2, [0, 1, 2, 7]),   # entry >= 2^n
+        (2, [0, 1, 2, -1]),  # negative entry
+        (0, [0]),            # n = 0, which no header may hold
+        (1, [0.5, 1.2]),     # not integers
+    ])
+    def test_constructor_rejects_a_table_that_is_not_a_bijection(self, n, table):
+        with pytest.raises(InvalidParameterError):
+            tp.PermutationOracle(n, table)
+
+    @given(st.integers(0, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_table_roundtrips_through_bytes(self, n, data):
+        size = 1 << n
+        table = data.draw(st.permutations(range(size))
+                          | st.lists(st.integers(-1, size), min_size=size, max_size=size))
+        try:
+            o = tp.PermutationOracle(n, table)
+        except InvalidParameterError:
+            assert n == 0 or sorted(table) != list(range(1 << n))
+            return
+        restored = tp.oracle_from_bytes(tp.oracle_to_bytes(o))
+        assert np.array_equal(restored.forward_table, o.forward_table)
+
     def test_file_roundtrip(self, tmp_path):
         o = tp.random_permutation(7, seed=37)
         path = tmp_path / "oracle.bin"
@@ -536,6 +561,20 @@ class TestLazyOracle:
         assert o.inverse(copy.forward(77)) == 77
         assert np.array_equal(copy.forward_table, o.forward_table)
         assert o.query_counts == (1, 1) and copy.query_counts == (2, 0)
+
+    def test_fresh_copy_of_an_unqueried_oracle_is_one_permutation_draw(self):
+        for n, seed in ((1, 0), (5, 41), (16, 42)):
+            copy = tp.random_permutation(n, seed).fresh_copy()
+            assert np.array_equal(copy.forward_table, rng.stream(seed).permutation(1 << n))
+
+    def test_fresh_copy_keeps_queried_points_and_zeroes_counters(self):
+        o = tp.random_permutation(10, seed=52)
+        answers = {x: o.forward(x) for x in (0, 3, 512, 1023)}
+        answers.update({o.inverse(y): y for y in (7, 700)})
+        copy = o.fresh_copy()
+        assert copy.query_counts == (0, 0)
+        for x, y in answers.items():
+            assert copy.lookup(x) == y and copy.inverse_table[y] == x
 
     def test_out_of_range_query_rejected(self):
         o = tp.random_permutation(4, seed=47)

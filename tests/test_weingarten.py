@@ -257,6 +257,10 @@ class TestMoments:
         with pytest.raises(InvalidParameterError, match=">= 0"):
             wg.MomentSpec(*tuples)
 
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            wg.MomentSpec((1.5,), (0,), (1.9,), (0,))
+
     @pytest.mark.parametrize("moment", MOMENT_PATHS, ids=["exact", "mc"])
     def test_zero_dimension_rejected(self, moment):
         with pytest.raises(InvalidDimensionError):
